@@ -36,7 +36,6 @@ from .sampler import (
     empirical_joint,
     empirical_marginals,
     estimate_chsh,
-    sample_events,
     sample_outcome_codes,
 )
 from .wedge import (
@@ -76,7 +75,6 @@ __all__ = [
     "polar_bob_marginals",
     "polar_joint_amplitudes",
     "polar_joint_probabilities",
-    "sample_events",
     "sample_outcome_codes",
     "signal_difference_map",
     "truncated_aperture_field",

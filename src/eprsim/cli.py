@@ -3,7 +3,9 @@
 One subcommand per bench plus ``sample`` (event streams), ``chsh``
 (Bell-inequality estimate), ``diffmap`` (wedge signal-difference scan),
 ``audit`` (no-signaling sweep with a pass/fail exit code), and ``run``
-(everything above, driven by a config file).
+(any of the above, driven by a config file).  ``COMMANDS`` declares each
+subcommand's handler and parameters once; the parser, config-file
+validation and ``run`` are all built from it.
 
 Exit codes: 0 success, 1 usage or config error, 2 audit found a
 deviation above tolerance.
@@ -17,16 +19,10 @@ import sys
 from dataclasses import dataclass
 
 from . import pathbench, polarization, sampler, wedge
-from .config import ConfigError, RunConfig, parse_angle, parse_config
+from .config import Command, ConfigError, Param, geometry_item, make_geometry, parse_config
 from .output import Table, emit_table
 from .pathbench import AliceMode
-from .wedge import SamplingError, WedgeGeometry
-
-_MODE_BY_NAME = {
-    "in": AliceMode.SPLITTER_IN,
-    "out": AliceMode.SPLITTER_OUT,
-    "stop": AliceMode.BEAM_STOP,
-}
+from .wedge import WedgeGeometry
 
 
 @dataclass(frozen=True)
@@ -55,6 +51,29 @@ class NoSignalReport:
         )
 
 
+class _Worst:
+    """Largest deviation an audit has seen, where, and over how many points.
+
+    Ties go to the later point.  A NaN difference becomes the worst and
+    stays, so an audit that computed a NaN anywhere cannot pass.
+    """
+
+    def __init__(self) -> None:
+        self.dev, self.at, self.count = 0.0, (), 0
+
+    def see(self, at: tuple, diff_b1: float, diff_b0: float) -> None:
+        self.count += 1
+        if math.isnan(diff_b1) or math.isnan(diff_b0):
+            dev = math.nan
+        else:
+            dev = max(abs(diff_b1), abs(diff_b0))
+        if not dev < self.dev and not math.isnan(self.dev):
+            self.dev, self.at = dev, at
+
+    def report(self, bench: str, tolerance: float) -> NoSignalReport:
+        return NoSignalReport(bench, self.count, self.dev, self.at, tolerance)
+
+
 def _linspace(stop: float, count: int) -> list[float]:
     if count < 2:
         return [0.0]
@@ -64,36 +83,27 @@ def _linspace(stop: float, count: int) -> list[float]:
 
 def audit_polar(grid: int = 200, tolerance: float = 1e-12) -> NoSignalReport:
     """Bob's polarization marginals must be (1/2, 1/2) for every setting."""
-    worst = 0.0
-    worst_at: tuple = ()
-    count = 0
+    worst = _Worst()
     for alpha in _linspace(math.pi / 2, grid):
         for theta in _linspace(math.pi, grid):
             marg = polarization.polar_bob_marginals(alpha, theta)
-            dev = max(abs(marg.p_b1 - 0.5), abs(marg.p_b0 - 0.5))
-            if dev >= worst:
-                worst, worst_at = dev, (alpha, theta)
-            count += 1
-    return NoSignalReport("polar", count, worst, worst_at, tolerance)
+            worst.see((alpha, theta), marg.p_b1 - 0.5, marg.p_b0 - 0.5)
+    return worst.report("polar", tolerance)
 
 
 def audit_mz(grid: int = 50, tolerance: float = 1e-12) -> NoSignalReport:
     """Bob's path marginals must not depend on phi_a or on Alice's mode."""
-    worst = 0.0
-    worst_at: tuple = ()
-    count = 0
-    modes = (AliceMode.SPLITTER_IN, AliceMode.SPLITTER_OUT, AliceMode.BEAM_STOP)
+    worst = _Worst()
+    modes = [(mode, mode.value) for mode in AliceMode]
     for alpha in _linspace(math.pi / 2, grid):
         for phi_b in _linspace(2 * math.pi, grid):
             want = pathbench.expected_bob_marginals(alpha, phi_b)
             for phi_a in _linspace(2 * math.pi, grid):
-                for mode in modes:
+                for mode, label in modes:
                     got = pathbench.mz_bob_marginals(alpha, phi_a, phi_b, mode)
-                    dev = max(abs(got.p_b1 - want.p_b1), abs(got.p_b0 - want.p_b0))
-                    if dev >= worst:
-                        worst, worst_at = dev, (alpha, phi_a, phi_b, mode.value)
-                    count += 1
-    return NoSignalReport("mz", count, worst, worst_at, tolerance)
+                    worst.see((alpha, phi_a, phi_b, label),
+                              got.p_b1 - want.p_b1, got.p_b0 - want.p_b0)
+    return worst.report("mz", tolerance)
 
 
 def audit_wedge(
@@ -103,20 +113,15 @@ def audit_wedge(
 ) -> NoSignalReport:
     """Integrated wedge singles must track the phi_a-free closed form."""
     geom = geometry if geometry is not None else WedgeGeometry()
-    worst = 0.0
-    worst_at: tuple = ()
-    count = 0
+    worst = _Worst()
     for alpha in _linspace(math.pi / 2, max(grid, 2)):
         for phi_b in _linspace(2 * math.pi, max(grid, 2)):
             want = pathbench.expected_bob_marginals(alpha, phi_b)
             for phi_a in (0.0, math.pi / 2):
                 got = wedge.wedge_bob_singles(alpha, phi_a, phi_b, geom)
-                dev = max(abs(got[0].value - want.p_b1),
-                          abs(got[1].value - want.p_b0))
-                if dev >= worst:
-                    worst, worst_at = dev, (alpha, phi_a, phi_b)
-                count += 1
-    return NoSignalReport("wedge", count, worst, worst_at, tolerance)
+                worst.see((alpha, phi_a, phi_b),
+                          got[0].value - want.p_b1, got[1].value - want.p_b0)
+    return worst.report("wedge", tolerance)
 
 
 def run_no_signal_audit(
@@ -125,37 +130,27 @@ def run_no_signal_audit(
     tolerance: float | None = None,
     geometry: WedgeGeometry | None = None,
 ) -> list[NoSignalReport]:
+    """Run one audit or all three; a grid or tolerance of None keeps each audit's default."""
+    given = {k: v for k, v in (("grid", grid), ("tolerance", tolerance)) if v is not None}
     reports = []
     if bench in ("polar", "all"):
-        reports.append(audit_polar(grid or 200, tolerance or 1e-12))
+        reports.append(audit_polar(**given))
     if bench in ("mz", "all"):
-        reports.append(audit_mz(grid or 50, tolerance or 1e-12))
+        reports.append(audit_mz(**given))
     if bench in ("wedge", "all"):
-        reports.append(audit_wedge(grid or 3, tolerance or 1e-4, geometry))
+        reports.append(audit_wedge(geometry=geometry, **given))
     if not reports:
         raise ConfigError(f"unknown audit bench {bench!r}")
     return reports
 
 
-def _geometry_from_items(items: list[str] | None) -> WedgeGeometry:
-    fields: dict = {}
-    for item in items or []:
-        if "=" not in item:
-            raise ConfigError(f"--geom expects key=value, got {item!r}")
-        key, _, raw = item.partition("=")
-        fields[key.strip()] = raw.strip()
-    cfg = RunConfig(bench="wedge", geometry={
-        k: (int(v) if k.startswith("samples_") else float(v)) for k, v in fields.items()
-    })
-    return cfg.wedge_geometry()
-
-
-def _emit(table: Table, args) -> None:
+def _emit(table: Table, args) -> int:
     text = emit_table(table, fmt=args.format, path=args.out)
     if args.out is None:
         sys.stdout.write(text)
     else:
         sys.stderr.write(f"wrote {args.out}\n")
+    return 0
 
 
 def _cmd_polar(args) -> int:
@@ -169,12 +164,11 @@ def _cmd_polar(args) -> int:
             columns=("alpha", "theta", "p_hh", "p_hv", "p_vh", "p_vv"),
             rows=[(args.alpha, args.theta) + probs.as_tuple()],
         )
-    _emit(table, args)
-    return 0
+    return _emit(table, args)
 
 
 def _cmd_mz(args) -> int:
-    mode = _MODE_BY_NAME[args.bs_a]
+    mode = AliceMode(args.mode)
     if args.marginals:
         n = max(args.grid, 2)
         table = pathbench.mz_marginal_sweep(
@@ -200,12 +194,11 @@ def _cmd_mz(args) -> int:
             rows=[(args.alpha, args.phi_a, args.phi_b, mode.value)
                   + joints + (marg.p_b1, marg.p_b0)],
         )
-    _emit(table, args)
-    return 0
+    return _emit(table, args)
 
 
 def _cmd_wedge(args) -> int:
-    geom = _geometry_from_items(args.geom)
+    geom = make_geometry(args.geom)
     if args.profile:
         table = wedge.wedge_profile_table(args.alpha, args.phi_a, args.phi_b, geom)
     else:
@@ -215,24 +208,21 @@ def _cmd_wedge(args) -> int:
             rows=[(args.alpha, args.phi_a, args.phi_b,
                    b1.value, b0.value, b1.error_estimate, b0.error_estimate)],
         )
-    _emit(table, args)
-    return 0
+    return _emit(table, args)
 
 
 def _cmd_diffmap(args) -> int:
-    geom = _geometry_from_items(args.geom)
     n = max(args.grid, 2)
     table = wedge.signal_difference_map(
-        _linspace(math.pi / 2, n), _linspace(2 * math.pi, n), args.phi_a, geom
+        _linspace(math.pi / 2, n), _linspace(2 * math.pi, n), args.phi_a, make_geometry(args.geom)
     )
-    _emit(table, args)
-    return 0
+    return _emit(table, args)
 
 
 def _sampler_config(args):
     if args.bench == "polar":
         return polarization.PolarizationConfig(args.alpha, args.theta)
-    return pathbench.PathConfig(args.alpha, args.phi_a, args.phi_b, _MODE_BY_NAME[args.bs_a])
+    return pathbench.PathConfig(args.alpha, args.phi_a, args.phi_b, AliceMode(args.mode))
 
 
 def _cmd_sample(args) -> int:
@@ -246,26 +236,23 @@ def _cmd_sample(args) -> int:
         )
     else:
         table = sampler.events_table(result)
-    _emit(table, args)
-    return 0
+    return _emit(table, args)
 
 
 def _cmd_chsh(args) -> int:
-    angles = tuple(parse_angle(a, "angles") for a in args.angles.split(","))
-    est = sampler.estimate_chsh(angles=angles, n=args.n, seed=args.seed)
+    est = sampler.estimate_chsh(angles=args.angles, n=args.n, seed=args.seed)
     table = Table(
         columns=("s_value", "std_error", "n_per_setting",
                  "e_ab", "e_abp", "e_apb", "e_apbp"),
         rows=[(est.s_value, est.std_error, est.n_per_setting or 0)
               + est.correlations],
     )
-    _emit(table, args)
-    return 0
+    return _emit(table, args)
 
 
 def _cmd_audit(args) -> int:
-    geom = _geometry_from_items(args.geom)
-    reports = run_no_signal_audit(args.bench, args.grid, args.tolerance, geom)
+    reports = run_no_signal_audit(args.bench, args.grid, args.tolerance,
+                                  make_geometry(args.geom))
     for report in reports:
         sys.stdout.write(report.line() + "\n")
     return 0 if all(r.passed for r in reports) else 2
@@ -274,146 +261,112 @@ def _cmd_audit(args) -> int:
 def _cmd_run(args) -> int:
     with open(args.config, "r", encoding="utf-8") as fh:
         cfg = parse_config(fh.read())
-    p = cfg.parameters
-
-    class _A:  # noqa: N801 - argparse stand-in for the shared handlers
-        pass
-
-    ns = _A()
-    ns.out = cfg.out
-    ns.format = cfg.format
-    ns.alpha = p.get("alpha", 0.0)
-    ns.theta = p.get("theta", 0.0)
-    ns.phi_a = p.get("phi_a", 0.0)
-    ns.phi_b = p.get("phi_b", 0.0)
-    ns.bs_a = p.get("mode", "in")
-    ns.grid = p.get("grid", 0)
-    ns.n = p.get("n", 1000)
-    ns.seed = p.get("seed", 0)
-    ns.workers = p.get("workers", 1)
-    ns.bench = p.get("bench", "all")
-    ns.summary = True
-    ns.profile = False
-    ns.marginals = False
-    ns.geom = [f"{k}={v}" for k, v in cfg.geometry.items()]
-    ns.tolerance = p.get("tolerance")
-    if cfg.bench == "chsh":
-        ns.angles = ",".join(repr(a) for a in p.get(
-            "angles", (0.0, math.pi / 8, math.pi / 4, 3 * math.pi / 8)))
-        return _cmd_chsh(ns)
-    handler = {
-        "polar": _cmd_polar,
-        "mz": _cmd_mz,
-        "wedge": _cmd_wedge,
-        "diffmap": _cmd_diffmap,
-        "sample": _cmd_sample,
-        "audit": _cmd_audit,
-    }[cfg.bench]
-    return handler(ns)
+    ns = args.parser.parse_args([cfg.bench])  # the subcommand with its flag defaults
+    vars(ns).update(cfg.parameters, out=cfg.out, format=cfg.format,
+                    geom=list(cfg.geometry.items()))
+    return ns.handler(ns)
 
 
-def _add_output_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--out", default=None, help="write the table here instead of stdout")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
+def _angle(name: str, default: str = "0") -> Param:
+    return Param(name, "angle", default, f"radians or a pi fraction (default {default})")
 
 
-def _add_angle(p: argparse.ArgumentParser, name: str, default: str) -> None:
-    p.add_argument(
-        name,
-        type=lambda s: parse_angle(s, name.lstrip("-")),
-        default=parse_angle(default),
-        help=f"radians or a pi fraction (default {default})",
-    )
+_ALPHA, _THETA, _PHI_A, _PHI_B = map(_angle, ("alpha", "theta", "phi_a", "phi_b"))
+_MODE = Param("mode", "choice", "in",
+              "Alice's analyzer: splitter in place, removed, or beam stop",
+              choices=tuple(m.value for m in AliceMode), flag="--bs-a")
+_SEED = Param("seed", "int", 0, minimum=0)
+
+#: Every subcommand but ``run``: its handler, help line and parameters.
+COMMANDS = {
+    "polar": Command(_cmd_polar, "polarization bench probabilities", (
+        _ALPHA, _THETA,
+        Param("grid", "int", 0, "sweep an NxN grid instead", minimum=0),
+    )),
+    "mz": Command(_cmd_mz, "path-interferometer bench probabilities", (
+        _ALPHA, _PHI_A, _PHI_B, _MODE,
+        Param("grid", "int", 0, "sweep an NxNxN grid instead", minimum=0),
+        Param("marginals", "flag", False,
+              "emit only Bob's singles over an (alpha, phi_b) grid"),
+    )),
+    "wedge": Command(_cmd_wedge, "wedge-mirror bench integrated singles", (
+        _ALPHA, _PHI_A, _PHI_B,
+        Param("profile", "flag", False,
+              "emit the detector-plane profile instead of integrals"),
+    ), geometry=True),
+    "diffmap": Command(_cmd_diffmap, "wedge singles difference over a settings grid", (
+        _angle("phi_a", "pi/2"),
+        Param("grid", "int", 3, minimum=0),
+    ), geometry=True),
+    "sample": Command(_cmd_sample, "draw a deterministic event stream", (
+        Param("bench", "choice", "polar", choices=("polar", "mz")),
+        _ALPHA, _THETA, _PHI_A, _PHI_B, _MODE,
+        Param("n", "int", 1000, minimum=0),
+        _SEED,
+        Param("workers", "int", 1, minimum=1),
+        Param("summary", "flag", False, "emit empirical marginals instead of raw events"),
+    )),
+    "chsh": Command(_cmd_chsh, "CHSH estimate at alpha=0", (
+        Param("angles", "angles", "0,pi/8,pi/4,3*pi/8",
+              "a,b,a',b' as four comma-separated angles"),
+        Param("n", "int", None,
+              "events per setting pair (omit for the analytic value)", minimum=1),
+        _SEED,
+    )),
+    "audit": Command(_cmd_audit, "no-signaling sweep; exit 2 on failure", (
+        Param("bench", "choice", "all", choices=("polar", "mz", "wedge", "all")),
+        Param("grid", "int", None, minimum=1),
+        Param("tolerance", "float", None),
+    ), geometry=True, output=False),
+}
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise ConfigError, so they exit 1 like config errors.
+
+    argparse would exit 2, which ``audit`` uses to report a deviation.
+    """
+
+    def error(self, message: str):
+        raise ConfigError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="eprsim",
         description="Two-photon entanglement benches and no-signaling audits.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("polar", help="polarization bench probabilities")
-    _add_angle(p, "--alpha", "0")
-    _add_angle(p, "--theta", "0")
-    p.add_argument("--grid", type=int, default=0, help="sweep an NxN grid instead")
-    _add_output_flags(p)
-    p.set_defaults(handler=_cmd_polar)
-
-    p = sub.add_parser("mz", help="path-interferometer bench probabilities")
-    _add_angle(p, "--alpha", "0")
-    _add_angle(p, "--phi-a", "0")
-    _add_angle(p, "--phi-b", "0")
-    p.add_argument("--bs-a", choices=sorted(_MODE_BY_NAME), default="in",
-                   help="Alice's analyzer: splitter in place, removed, or beam stop")
-    p.add_argument("--grid", type=int, default=0, help="sweep an NxNxN grid instead")
-    p.add_argument("--marginals", action="store_true",
-                   help="emit only Bob's singles over an (alpha, phi_b) grid")
-    _add_output_flags(p)
-    p.set_defaults(handler=_cmd_mz)
-
-    p = sub.add_parser("wedge", help="wedge-mirror bench integrated singles")
-    _add_angle(p, "--alpha", "0")
-    _add_angle(p, "--phi-a", "0")
-    _add_angle(p, "--phi-b", "0")
-    p.add_argument("--profile", action="store_true",
-                   help="emit the detector-plane profile instead of integrals")
-    p.add_argument("--geom", action="append", metavar="KEY=VALUE",
-                   help="override a geometry field (repeatable)")
-    _add_output_flags(p)
-    p.set_defaults(handler=_cmd_wedge)
-
-    p = sub.add_parser("diffmap", help="wedge singles difference over a settings grid")
-    _add_angle(p, "--phi-a", "pi/2")
-    p.add_argument("--grid", type=int, default=3)
-    p.add_argument("--geom", action="append", metavar="KEY=VALUE")
-    _add_output_flags(p)
-    p.set_defaults(handler=_cmd_diffmap)
-
-    p = sub.add_parser("sample", help="draw a deterministic event stream")
-    p.add_argument("--bench", choices=("polar", "mz"), default="polar")
-    _add_angle(p, "--alpha", "0")
-    _add_angle(p, "--theta", "0")
-    _add_angle(p, "--phi-a", "0")
-    _add_angle(p, "--phi-b", "0")
-    p.add_argument("--bs-a", choices=sorted(_MODE_BY_NAME), default="in")
-    p.add_argument("--n", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--summary", action="store_true",
-                   help="emit empirical marginals instead of raw events")
-    _add_output_flags(p)
-    p.set_defaults(handler=_cmd_sample)
-
-    p = sub.add_parser("chsh", help="CHSH estimate at alpha=0")
-    p.add_argument("--angles", default="0,pi/8,pi/4,3*pi/8",
-                   help="a,b,a',b' as four comma-separated angles")
-    p.add_argument("--n", type=int, default=None,
-                   help="events per setting pair (omit for the analytic value)")
-    p.add_argument("--seed", type=int, default=0)
-    _add_output_flags(p)
-    p.set_defaults(handler=_cmd_chsh)
-
-    p = sub.add_parser("audit", help="no-signaling sweep; exit 2 on failure")
-    p.add_argument("--bench", choices=("polar", "mz", "wedge", "all"), default="all")
-    p.add_argument("--grid", type=int, default=None)
-    p.add_argument("--tolerance", type=float, default=None)
-    p.add_argument("--geom", action="append", metavar="KEY=VALUE")
-    p.set_defaults(handler=_cmd_audit)
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for param in command.params:
+            option = param.flag or "--" + param.name.replace("_", "-")
+            if param.kind == "flag":
+                p.add_argument(option, dest=param.name, action="store_true",
+                               help=param.help)
+            else:
+                p.add_argument(option, dest=param.name, type=param.coerce,
+                               default=param.default, choices=param.choices or None,
+                               help=param.help)
+        if command.geometry:
+            p.add_argument("--geom", action="append", type=geometry_item,
+                           metavar="KEY=VALUE", help="override a geometry field (repeatable)")
+        if command.output:
+            p.add_argument("--out", help="write the table here instead of stdout")
+            p.add_argument("--format", choices=("csv", "json"), default="csv")
+        p.set_defaults(handler=command.handler)
 
     p = sub.add_parser("run", help="execute a config file")
     p.add_argument("--config", required=True)
-    p.set_defaults(handler=_cmd_run)
-
+    p.set_defaults(handler=_cmd_run, parser=parser)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         return args.handler(args)
-    except (ConfigError, SamplingError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # ConfigError and SamplingError included
         sys.stderr.write(f"error: {exc}\n")
         return 1
 

@@ -1,17 +1,22 @@
-"""Run configuration: parsing, validation, and round-tripping.
+"""Run configuration: parameter declarations, parsing, and round-tripping.
 
 A run is described either by CLI flags or by a config file in one of two
 equivalent forms: a JSON object, or line-oriented ``key=value`` text
-(``#`` starts a comment).  Angles accept plain decimals or pi-fraction
-literals such as ``pi/4``, ``3*pi/8``, ``-pi/2``, ``2pi``.
+(``#`` starts a comment).  Both are checked against the same ``Param``
+declarations (``eprsim.cli.COMMANDS``), so a key means what its flag
+means.  Angles accept plain decimals or pi-fraction literals such as
+``pi/4``, ``3*pi/8``, ``-pi/2``, ``2pi``.
 """
 
 from __future__ import annotations
 
+import argparse
+import dataclasses
 import json
 import math
 import re
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .wedge import WedgeGeometry
 
@@ -24,33 +29,18 @@ _PI_LITERAL = re.compile(
     re.VERBOSE,
 )
 
-#: Parameters each bench accepts (beyond the shared output keys).
-BENCH_PARAMETERS = {
-    "polar": ("alpha", "theta"),
-    "mz": ("alpha", "phi_a", "phi_b", "mode"),
-    "wedge": ("alpha", "phi_a", "phi_b"),
-    "diffmap": ("phi_a", "grid"),
-    "sample": ("bench", "alpha", "theta", "phi_a", "phi_b", "mode", "n", "seed", "workers"),
-    "chsh": ("angles", "n", "seed"),
-    "audit": ("bench", "grid", "tolerance"),
+#: Wedge geometry field name -> the type its values are cast to.
+_GEOMETRY_TYPES = {
+    f.name: int if f.type in (int, "int") else float
+    for f in dataclasses.fields(WedgeGeometry)
 }
 
-_SHARED_KEYS = ("out", "format")
-_GEOMETRY_FIELDS = (
-    "wavelength",
-    "beam_sigma",
-    "propagation_distance",
-    "aperture_halfwidth",
-    "apex_offset",
-    "detector_halfwidth",
-    "tilt_angle",
-    "samples_aperture",
-    "samples_detector",
-)
 
+class ConfigError(argparse.ArgumentTypeError, ValueError):
+    """Flags or config text that cannot be turned into a runnable command.
 
-class ConfigError(ValueError):
-    """Config text that cannot be turned into a runnable RunConfig."""
+    As an ArgumentTypeError it keeps its message when a flag's type raises it.
+    """
 
 
 def parse_angle(text: str | float, key: str = "angle") -> float:
@@ -91,8 +81,115 @@ def format_angle(value: float) -> str:
 
 
 @dataclass(frozen=True)
+class Param:
+    """One subcommand parameter, declared once for flags and config files.
+
+    ``name`` is the config key and the parsed attribute; the flag is
+    ``--name`` with ``-`` for ``_`` unless ``flag`` names another.
+    ``kind`` is one of angle, int, float, choice, flag (a boolean), or
+    angles (four comma-separated angles).  argparse coerces a string
+    default like a flag value, so ``"pi/2"`` reads well in ``--help``.
+    """
+
+    name: str
+    kind: str
+    default: object = None
+    help: str | None = None
+    choices: tuple[str, ...] = ()
+    minimum: int | None = None
+    flag: str | None = None
+
+    def coerce(self, raw, where: str = "") -> object:
+        """The typed value of a flag or config value; errors name the key."""
+        name = self.name
+        if self.kind == "angle":
+            try:
+                return parse_angle(raw, name)
+            except ConfigError as exc:
+                raise ConfigError(f"{exc}{where}") from None
+        if self.kind == "angles":
+            parts = raw if isinstance(raw, (list, tuple)) else str(raw).split(",")
+            if len(parts) != 4:
+                raise ConfigError(f"{name}: expected 4 comma-separated values{where}")
+            return tuple(parse_angle(p, name) for p in parts)
+        if self.kind == "flag":
+            text = str(raw).lower()
+            if text not in ("true", "false"):
+                raise ConfigError(f"{name}: expected true or false, got {raw!r}{where}")
+            return text == "true"
+        if self.kind == "choice":
+            if raw not in self.choices:
+                raise ConfigError(
+                    f"{name}: expected one of {list(self.choices)}, got {raw!r}{where}"
+                )
+            return raw
+        cast = int if self.kind == "int" else float
+        try:
+            if isinstance(raw, bool) or (cast is int and isinstance(raw, float)
+                                         and not raw.is_integer()):
+                raise TypeError  # int() would take JSON true or 2.5 for a count
+            value = cast(raw)
+        except (TypeError, ValueError):
+            expected = "an integer" if cast is int else "a number"
+            raise ConfigError(f"{name}: expected {expected}, got {raw!r}{where}") from None
+        if self.minimum is not None and value < self.minimum:
+            raise ConfigError(f"{name}: must be >= {self.minimum}, got {value}{where}")
+        return value
+
+
+@dataclass(frozen=True)
+class Command:
+    """A subcommand's handler, help line and parameters; whether it takes
+    wedge geometry (``--geom``) and writes a table (``--out``, ``--format``)."""
+
+    handler: Callable
+    help: str
+    params: tuple[Param, ...]
+    geometry: bool = False
+    output: bool = True
+
+
+def _command(bench: str) -> Command:
+    from .cli import COMMANDS  # the table sits with its handlers; cli imports this module
+
+    if bench not in COMMANDS:
+        raise ConfigError(f"unknown bench {bench!r}; expected one of {sorted(COMMANDS)}")
+    return COMMANDS[bench]
+
+
+def _coerce_geometry(key: str, raw, where: str = "") -> object:
+    if key not in _GEOMETRY_TYPES:
+        raise ConfigError(
+            f"unknown geometry field {key!r}; expected one of {sorted(_GEOMETRY_TYPES)}"
+        )
+    cast = _GEOMETRY_TYPES[key]
+    try:
+        return cast(raw)
+    except (TypeError, ValueError):
+        raise ConfigError(
+            f"geometry field {key}: expected a {cast.__name__}, got {raw!r}{where}"
+        ) from None
+
+
+def geometry_item(item: str) -> tuple[str, object]:
+    """One ``--geom KEY=VALUE`` flag, coerced as the config key would be."""
+    key, sep, raw = item.partition("=")
+    if not sep:
+        raise ConfigError(f"--geom expects key=value, got {item!r}")
+    return key.strip(), _coerce_geometry(key.strip(), raw.strip())
+
+
+def make_geometry(fields=None) -> WedgeGeometry:
+    """The wedge geometry with ``fields`` (a dict or key, value pairs) overriding defaults."""
+    try:
+        return WedgeGeometry(**dict(fields or ()))
+    except ValueError as exc:
+        raise ConfigError(f"bad geometry: {exc}") from exc
+
+
+@dataclass(frozen=True)
 class RunConfig:
-    """A bench name, its parameters, geometry overrides, and output routing."""
+    """A subcommand name, its parameters, geometry overrides, and output routing."""
 
     bench: str
     parameters: dict = field(default_factory=dict)
@@ -101,103 +198,50 @@ class RunConfig:
     format: str = "csv"
 
     def __post_init__(self) -> None:
-        if self.bench not in BENCH_PARAMETERS:
-            raise ConfigError(
-                f"unknown bench {self.bench!r}; expected one of "
-                f"{sorted(BENCH_PARAMETERS)}"
-            )
+        command = _command(self.bench)
         if self.format not in ("csv", "json"):
             raise ConfigError(f"format must be 'csv' or 'json', got {self.format!r}")
-        allowed = BENCH_PARAMETERS[self.bench]
+        if not command.output and (self.out is not None or self.format != "csv"):
+            raise ConfigError(f"bench {self.bench!r} writes no table; out and format do not apply")
+        allowed = {p.name for p in command.params}
         for key in self.parameters:
             if key not in allowed:
                 raise ConfigError(
                     f"unknown parameter {key!r} for bench {self.bench!r}; "
                     f"expected one of {sorted(allowed)}"
                 )
-        for key in self.geometry:
-            if key not in _GEOMETRY_FIELDS:
-                raise ConfigError(
-                    f"unknown geometry field {key!r}; expected one of "
-                    f"{sorted(_GEOMETRY_FIELDS)}"
-                )
-
-    def wedge_geometry(self) -> WedgeGeometry:
-        try:
-            return WedgeGeometry(**self.geometry)
-        except ValueError as exc:
-            raise ConfigError(f"bad geometry: {exc}") from exc
-
-
-_ANGLE_KEYS = {"alpha", "theta", "phi_a", "phi_b", "tolerance"}
-_INT_KEYS = {"n", "seed", "workers", "grid"}
-_STR_KEYS = {"mode", "bench"}
-_GEOM_INT_KEYS = {"samples_aperture", "samples_detector"}
-
-
-def _coerce_parameter(key: str, raw, line: str | None = None) -> object:
-    where = f" (line {line!r})" if line else ""
-    if key in _STR_KEYS:
-        return str(raw)
-    if key in _INT_KEYS:
-        try:
-            return int(raw)
-        except (TypeError, ValueError):
-            raise ConfigError(f"{key}: expected an integer, got {raw!r}{where}") from None
-    if key == "angles":
-        parts = raw if isinstance(raw, (list, tuple)) else str(raw).split(",")
-        if len(parts) != 4:
-            raise ConfigError(f"angles: expected 4 comma-separated values{where}")
-        return tuple(parse_angle(p, "angles") for p in parts)
-    try:
-        return parse_angle(raw, key)
-    except ConfigError as exc:
-        raise ConfigError(f"{exc}{where}") from None
-
-
-def _coerce_geometry(key: str, raw, line: str | None = None) -> object:
-    where = f" (line {line!r})" if line else ""
-    caster = int if key in _GEOM_INT_KEYS else float
-    try:
-        value = caster(raw)
-    except (TypeError, ValueError):
-        raise ConfigError(
-            f"geometry field {key}: expected a {caster.__name__}, got {raw!r}{where}"
-        ) from None
-    return value
+        if self.geometry and not command.geometry:
+            raise ConfigError(f"bench {self.bench!r} takes no geometry fields")
+        for key, value in self.geometry.items():
+            _coerce_geometry(key, value)
 
 
 def _assemble(entries: list[tuple[str, object, str | None]]) -> RunConfig:
-    bench = None
-    parameters: dict = {}
-    geometry: dict = {}
-    out = None
-    fmt = "csv"
-    seen: set[str] = set()
-    for key, raw, line in entries:
-        if key in seen:
-            raise ConfigError(f"duplicate key {key!r}" + (f" (line {line!r})" if line else ""))
-        seen.add(key)
-        if key == "bench":
-            bench = str(raw)
-        elif key == "out":
-            out = str(raw)
-        elif key == "format":
-            fmt = str(raw)
-        elif key.startswith("geometry."):
-            gkey = key[len("geometry."):]
-            geometry[gkey] = _coerce_geometry(gkey, raw, line)
-        elif key in _GEOMETRY_FIELDS:
-            geometry[key] = _coerce_geometry(key, raw, line)
-        else:
-            parameters[key] = raw  # coerced once the bench is known
+    bench = next((str(raw) for key, raw, _ in entries if key == "bench"), None)
     if bench is None:
         raise ConfigError("missing required key 'bench'")
-    coerced = {}
+    params = {p.name: p for p in _command(bench).params}
+    fields: dict = {"parameters": {}, "geometry": {}}
+    seen: set[tuple[str, str]] = set()
     for key, raw, line in entries:
-        if key in parameters:
-            coerced[key] = _coerce_parameter(key, raw, line)
-    return RunConfig(bench=bench, parameters=coerced, geometry=geometry, out=out, format=fmt)
+        where = f" (line {line!r})" if line else ""
+        if key in ("bench", "out", "format"):
+            group, name = key, key
+        elif key.startswith("geometry.") or key in _GEOMETRY_TYPES:
+            group, name = "geometry", key.removeprefix("geometry.")
+        else:
+            group, name = "parameters", key.removeprefix("parameters.")
+        if (group, name) in seen:
+            raise ConfigError(f"duplicate key {key!r}{where}")
+        seen.add((group, name))
+        if group == "geometry":
+            fields["geometry"][name] = _coerce_geometry(name, raw, where)
+        elif group == "parameters":
+            param = params.get(name)  # RunConfig names an unknown key
+            fields["parameters"][name] = param.coerce(raw, where) if param else raw
+        elif key != "bench":
+            fields[key] = str(raw)
+    return RunConfig(bench=bench, **fields)
 
 
 def parse_config(text: str) -> RunConfig:
@@ -212,14 +256,10 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError("JSON config must be an object")
         entries = []
         for key, raw in doc.items():
-            if key == "geometry":
+            if key in ("geometry", "parameters"):
                 if not isinstance(raw, dict):
-                    raise ConfigError("'geometry' must be an object")
-                entries.extend((f"geometry.{k}", v, None) for k, v in raw.items())
-            elif key == "parameters":
-                if not isinstance(raw, dict):
-                    raise ConfigError("'parameters' must be an object")
-                entries.extend((k, v, None) for k, v in raw.items())
+                    raise ConfigError(f"{key!r} must be an object")
+                entries.extend((f"{key}.{k}", v, None) for k, v in raw.items())
             else:
                 entries.append((key, raw, None))
         return _assemble(entries)
@@ -240,13 +280,17 @@ def parse_config(text: str) -> RunConfig:
 def serialize_config(cfg: RunConfig) -> str:
     """Canonical key=value rendering; parse_config inverts it."""
     lines = [f"bench={cfg.bench}"]
+    kinds = {p.name: p.kind for p in _command(cfg.bench).params}
     for key in sorted(cfg.parameters):
-        value = cfg.parameters[key]
-        if key == "angles":
+        value, kind = cfg.parameters[key], kinds[key]
+        if kind == "angles":
             value = ",".join(format_angle(v) for v in value)
-        elif isinstance(value, float) and key in _ANGLE_KEYS:
+        elif kind == "angle":
             value = format_angle(value)
-        lines.append(f"{key}={value}")
+        elif kind == "flag":
+            value = "true" if value else "false"
+        # the inner bench of sample/audit needs its prefix to differ from the command
+        lines.append(f"{'parameters.' if key == 'bench' else ''}{key}={value}")
     for key in sorted(cfg.geometry):
         lines.append(f"{key}={cfg.geometry[key]:.17g}" if isinstance(cfg.geometry[key], float)
                      else f"{key}={cfg.geometry[key]}")

@@ -73,15 +73,6 @@ class SamplerSpec:
 
 
 @dataclass(frozen=True)
-class EventRecord:
-    index: int
-    outcome: str
-    alpha: float
-    setting_a: float
-    setting_b: float
-
-
-@dataclass(frozen=True)
 class SampleResult:
     """Outcome codes plus the labeling needed to interpret them."""
 
@@ -90,14 +81,6 @@ class SampleResult:
 
     def labels(self) -> tuple[str, ...]:
         return self.spec.outcome_labels()
-
-    def events(self) -> list[EventRecord]:
-        labels = self.labels()
-        alpha, set_a, set_b = self.spec.settings()
-        return [
-            EventRecord(i, labels[int(c)], alpha, set_a, set_b)
-            for i, c in enumerate(self.codes)
-        ]
 
 
 def _chunk_codes(
@@ -139,11 +122,6 @@ def sample_outcome_codes(spec: SamplerSpec, workers: int = 1) -> SampleResult:
     """Draw spec.n outcome codes; identical stream for any worker count."""
     codes = _sample_codes(spec.probabilities(), spec.n, (spec.seed,), workers)
     return SampleResult(spec=spec, codes=codes)
-
-
-def sample_events(spec: SamplerSpec, workers: int = 1) -> list[EventRecord]:
-    """Materialized event records (use codes directly for large n)."""
-    return sample_outcome_codes(spec, workers).events()
 
 
 @dataclass(frozen=True)

@@ -2,19 +2,35 @@
 
 import json
 import math
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
-from eprsim.cli import audit_mz, audit_polar, main, run_no_signal_audit
+from eprsim import pathbench, polarization
+from eprsim.cli import (
+    COMMANDS,
+    audit_mz,
+    audit_polar,
+    audit_wedge,
+    build_parser,
+    main,
+    run_no_signal_audit,
+)
 from eprsim.config import (
     ConfigError,
     RunConfig,
     format_angle,
+    make_geometry,
     parse_angle,
     parse_config,
     serialize_config,
 )
+from eprsim.core import MarginalDistribution
 from eprsim.wedge import WedgeGeometry
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 # small fast geometry for any CLI path that actually propagates
 GEOM_FLAGS = [
@@ -22,6 +38,7 @@ GEOM_FLAGS = [
     "--geom", "samples_aperture=2049",
     "--geom", "samples_detector=8193",
 ]
+SMALL_GEOMETRY = {"beam_sigma": 3e-4, "samples_aperture": 2049, "samples_detector": 8193}
 
 
 class TestParseAngle:
@@ -146,6 +163,10 @@ class TestParseConfig:
             "bench=polar alpha=pi/4 theta=0.3",
             "bench=chsh angles=0,pi/8,pi/4,3*pi/8 n=500 seed=2",
             "bench=wedge alpha=pi/4 phi_b=pi/2 beam_sigma=3e-4 samples_aperture=2049",
+            "bench=wedge profile=true alpha=0.3",
+            "bench=mz marginals=false grid=3 mode=stop",
+            "bench=sample parameters.bench=mz summary=true workers=2 n=10",
+            "bench=audit parameters.bench=wedge grid=2 tolerance=1e-6 beam_sigma=3e-4",
         ]
         for text in texts:
             cfg = parse_config(text)
@@ -166,12 +187,12 @@ class TestRunConfig:
             RunConfig(bench="wedge", geometry={"sigma": 1.0})
 
     def test_default_geometry_builds(self):
-        assert RunConfig(bench="wedge").wedge_geometry() == WedgeGeometry()
+        assert make_geometry(RunConfig(bench="wedge").geometry) == WedgeGeometry()
 
     def test_bad_geometry_value_reported(self):
         cfg = RunConfig(bench="wedge", geometry={"beam_sigma": -1.0})
         with pytest.raises(ConfigError, match="bad geometry"):
-            cfg.wedge_geometry()
+            make_geometry(cfg.geometry)
 
 
 class TestAudits:
@@ -327,3 +348,222 @@ class TestCliFiles:
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == "x,mag_a1,mag_a2,density_b1,density_b0"
         assert len(lines) > 1000
+
+
+class TestConfigKeys:
+    def test_boolean_keys(self):
+        cfg = parse_config("bench=sample summary=true\n")
+        assert cfg.parameters == {"summary": True}
+        cfg = parse_config('{"bench": "mz", "parameters": {"marginals": false}}')
+        assert cfg.parameters == {"marginals": False}
+
+    def test_boolean_key_rejects_other_values(self):
+        with pytest.raises(ConfigError, match=r"profile.*true or false.*line"):
+            parse_config("bench=wedge profile=1\n")
+
+    def test_inner_bench_key_value(self):
+        cfg = parse_config("bench=sample parameters.bench=mz\n")
+        assert (cfg.bench, cfg.parameters) == ("sample", {"bench": "mz"})
+
+    def test_inner_bench_json(self):
+        cfg = parse_config('{"bench": "audit", "parameters": {"bench": "polar"}}')
+        assert (cfg.bench, cfg.parameters) == ("audit", {"bench": "polar"})
+
+    def test_prefixed_and_plain_key_are_duplicates(self):
+        with pytest.raises(ConfigError, match="duplicate key 'parameters.alpha'"):
+            parse_config("bench=polar alpha=0 parameters.alpha=1")
+        with pytest.raises(ConfigError, match="duplicate key 'geometry.beam_sigma'"):
+            parse_config("bench=wedge beam_sigma=3e-4 geometry.beam_sigma=3e-4")
+
+    @pytest.mark.parametrize("text, key", [
+        ("bench=mz grid=-2", "grid"),
+        ("bench=sample workers=0", "workers"),
+        ("bench=sample n=-1", "n"),
+        ("bench=audit grid=0", "grid"),
+    ])
+    def test_integer_minimum(self, text, key):
+        with pytest.raises(ConfigError, match=rf"{key}: must be >="):
+            parse_config(text)
+
+    @pytest.mark.parametrize("raw", ["2.5", "true", '"many"'])
+    def test_json_integer_must_be_an_integer(self, raw):
+        with pytest.raises(ConfigError, match="n: expected an integer"):
+            parse_config('{"bench": "sample", "parameters": {"n": %s}}' % raw)
+        assert parse_config('{"bench": "sample", "parameters": {"n": 1e6}}').parameters == {
+            "n": 1000000}
+
+    def test_geometry_only_where_the_flag_exists(self):
+        with pytest.raises(ConfigError, match="takes no geometry"):
+            parse_config("bench=polar beam_sigma=3e-4")
+
+    def test_audit_takes_no_output_keys(self):
+        with pytest.raises(ConfigError, match="writes no table"):
+            parse_config("bench=audit format=json")
+
+
+def _config_files(tmp_path, bench: str, keys: dict) -> list[Path]:
+    """The same configuration written once as key=value text and once as JSON."""
+    params = {k: v for k, v in keys.items() if k != "format" and k not in SMALL_GEOMETRY}
+    geometry = {k: v for k, v in keys.items() if k in SMALL_GEOMETRY}
+
+    def text(value) -> str:
+        return str(value).lower() if isinstance(value, bool) else str(value)
+
+    lines = [f"bench={bench}"] + [
+        f"{'parameters.' if k == 'bench' else ''}{k}={text(v)}" for k, v in params.items()
+    ] + [f"{k}={v}" for k, v in geometry.items()]
+    if "format" in keys:
+        lines.append(f"format={keys['format']}")
+    doc = {"bench": bench, "parameters": params, "geometry": geometry}
+    if "format" in keys:
+        doc["format"] = keys["format"]
+    kv, js = tmp_path / "run.cfg", tmp_path / "run.json"
+    kv.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    js.write_text(json.dumps(doc), encoding="utf-8")
+    return [kv, js]
+
+
+# flags -> the config keys that mean the same; every subcommand has a
+# defaults-only case (audit's names its bench: all three at default
+# grids take tens of seconds)
+RUN_CASES = {
+    "polar-defaults": ([], {}),
+    "polar-point-json": (["--alpha", "pi/4", "--theta", "0.3", "--format", "json"],
+                         {"alpha": "pi/4", "theta": 0.3, "format": "json"}),
+    "polar-grid": (["--grid", "3"], {"grid": 3}),
+    "mz-defaults": ([], {}),
+    "mz-point": (["--alpha", "pi/8", "--phi-a", "pi/3", "--phi-b", "pi/5", "--bs-a", "out"],
+                 {"alpha": "pi/8", "phi_a": "pi/3", "phi_b": "pi/5", "mode": "out"}),
+    "mz-grid": (["--grid", "2", "--bs-a", "stop"], {"grid": 2, "mode": "stop"}),
+    "mz-marginals": (["--marginals", "--grid", "3"], {"marginals": True, "grid": 3}),
+    "wedge-defaults": ([], {}),
+    "wedge-point": (["--alpha", "pi/4", "--phi-b", "pi/2", "--profile"] + GEOM_FLAGS,
+                    {"alpha": "pi/4", "phi_b": "pi/2", "profile": True, **SMALL_GEOMETRY}),
+    "diffmap-defaults": ([], {}),
+    "diffmap-grid": (["--grid", "2", "--phi-a", "0"] + GEOM_FLAGS,
+                     {"grid": 2, "phi_a": 0, **SMALL_GEOMETRY}),
+    "sample-defaults": ([], {}),
+    "sample-mz-events": (["--bench", "mz", "--alpha", "pi/8", "--phi-b", "pi/3",
+                          "--bs-a", "stop", "--n", "50", "--seed", "3"],
+                         {"bench": "mz", "alpha": "pi/8", "phi_b": "pi/3", "mode": "stop",
+                          "n": 50, "seed": 3}),
+    "sample-summary": (["--bench", "mz", "--alpha", "pi/4", "--n", "70000",
+                        "--workers", "2", "--summary"],
+                       {"bench": "mz", "alpha": "pi/4", "n": 70000, "workers": 2,
+                        "summary": True}),
+    "chsh-defaults": ([], {}),
+    "chsh-sampled": (["--angles", "0,pi/4,pi/8,pi/2", "--n", "2000", "--seed", "4"],
+                     {"angles": "0,pi/4,pi/8,pi/2", "n": 2000, "seed": 4}),
+    "audit-defaults": (["--bench", "polar"], {"bench": "polar"}),
+    "audit-wedge": (["--bench", "wedge", "--grid", "2", "--tolerance", "1e-300"] + GEOM_FLAGS,
+                    {"bench": "wedge", "grid": 2, "tolerance": 1e-300, **SMALL_GEOMETRY}),
+}
+
+
+class TestRunEqualsFlags:
+    @pytest.mark.parametrize("form", [0, 1], ids=["key=value", "json"])
+    @pytest.mark.parametrize("case", sorted(RUN_CASES))
+    def test_same_bytes(self, case, form, tmp_path, capsys):
+        bench = case.split("-")[0]
+        flags, keys = RUN_CASES[case]
+        want_code = main([bench] + flags)
+        want = capsys.readouterr().out
+        config = _config_files(tmp_path, bench, keys)[form]
+        assert main(["run", "--config", str(config)]) == want_code
+        assert capsys.readouterr().out == want
+
+    def test_every_subcommand_has_a_case(self):
+        assert {case.split("-")[0] for case in RUN_CASES} == set(COMMANDS)
+
+    @pytest.mark.parametrize("form", [0, 1], ids=["key=value", "json"])
+    def test_bad_choice_exits_1_naming_the_key(self, form, tmp_path, capsys):
+        config = _config_files(tmp_path, "mz", {"mode": "foo"})[form]
+        assert main(["run", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: mode:")
+        assert "Traceback" not in err
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv, named", [
+        (["polar", "--alpha", "huh"], "alpha"),
+        (["polar", "--bogus"], "--bogus"),
+        (["mz", "--bs-a", "foo"], "--bs-a"),
+        (["mz", "--grid", "-2"], "grid"),
+        (["sample", "--workers", "-3"], "workers"),
+        (["audit", "--grid", "0"], "grid"),
+        ([], "command"),
+    ])
+    def test_exit_1_with_message(self, argv, named, capsys):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and named in err
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sample", "--help"])
+        assert exc.value.code == 0
+        assert "--summary" in capsys.readouterr().out
+
+
+class TestAuditInputs:
+    def test_zero_tolerance_is_kept(self, capsys):
+        assert main(["audit", "--bench", "polar", "--grid", "5", "--tolerance", "0"]) == 2
+        assert "[FAIL] polar" in capsys.readouterr().out
+
+    def test_none_keeps_each_audit_default(self):
+        (polar,) = run_no_signal_audit("polar", tolerance=0.0)
+        assert (polar.configurations, polar.tolerance) == (200 * 200, 0.0)
+
+    @pytest.mark.parametrize("nan_call", ["first", "last"])
+    @pytest.mark.parametrize("audit", ["polar", "mz", "wedge"])
+    def test_nan_deviation_fails(self, audit, nan_call, monkeypatch):
+        module, name = ((polarization, "polar_bob_marginals") if audit == "polar"
+                        else (pathbench, "expected_bob_marginals"))
+        real = getattr(module, name)
+        calls = {"polar": 9, "mz": 9, "wedge": 4}[audit]
+        seen = []
+
+        def with_nan(*args):
+            marg = real(*args)
+            seen.append(args)
+            at = 1 if nan_call == "first" else calls
+            # NaN in p_b0 only: max(finite, nan) would keep the finite value
+            return MarginalDistribution(marg.p_b1, math.nan) if len(seen) == at else marg
+
+        monkeypatch.setattr(module, name, with_nan)
+        report = {
+            "polar": lambda: audit_polar(grid=3),
+            "mz": lambda: audit_mz(grid=3),
+            "wedge": lambda: audit_wedge(grid=2, geometry=WedgeGeometry(**SMALL_GEOMETRY)),
+        }[audit]()
+        assert len(seen) == calls
+        assert math.isnan(report.max_deviation)
+        assert not report.passed
+        assert report.line().startswith(f"[FAIL] {audit}: max marginal deviation nan")
+
+
+def _readme_blocks(section: str) -> list[tuple[str, str]]:
+    """(language, body) of each fenced block in one README section."""
+    text = README.read_text(encoding="utf-8")
+    body = re.split(r"\n##+ ", text.split(section + "\n", 1)[1], maxsplit=1)[0]
+    return re.findall(r"```(\w*)\n(.*?)```", body, flags=re.S)
+
+
+class TestReadme:
+    def test_commands_parse(self):
+        lines = [line for lang, block in _readme_blocks("## Command line")
+                 if lang == "sh" for line in block.splitlines()
+                 if line.startswith("eprsim ")]
+        assert len(lines) > 10
+        parser = build_parser()
+        for line in lines:
+            args = parser.parse_args(shlex.split(line, comments=True)[1:])
+            assert callable(args.handler)
+
+    def test_config_examples_parse(self):
+        blocks = [block for lang, block in _readme_blocks("### Config files") if lang != "sh"]
+        assert len(blocks) >= 3
+        for block in blocks:
+            cfg = parse_config(block)
+            assert parse_config(serialize_config(cfg)) == cfg

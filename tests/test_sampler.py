@@ -9,13 +9,11 @@ from eprsim.pathbench import AliceMode, PathConfig
 from eprsim.polarization import PolarizationConfig, polar_joint_probabilities
 from eprsim.sampler import (
     CHUNK_EVENTS,
-    EventRecord,
     SamplerSpec,
     empirical_joint,
     empirical_marginals,
     estimate_chsh,
     events_table,
-    sample_events,
     sample_outcome_codes,
 )
 
@@ -141,17 +139,11 @@ class TestSampledStatistics:
 class TestEventRecords:
     def test_events_carry_settings(self):
         spec = SamplerSpec(config=PATH_SPEC.config, n=5, seed=1)
-        events = sample_events(spec)
+        events = events_table(sample_outcome_codes(spec)).rows
         assert len(events) == 5
-        assert events[0] == EventRecord(
-            index=0,
-            outcome=events[0].outcome,
-            alpha=0.0,
-            setting_a=math.pi / 3,
-            setting_b=math.pi / 5,
-        )
-        assert [e.index for e in events] == list(range(5))
-        assert all(e.outcome in spec.outcome_labels() for e in events)
+        assert events[0] == (0, events[0][1], 0.0, math.pi / 3, math.pi / 5)
+        assert [e[0] for e in events] == list(range(5))
+        assert all(e[1] in spec.outcome_labels() for e in events)
 
     def test_events_table_schema(self):
         table = events_table(sample_outcome_codes(POLAR_SPEC))

@@ -262,8 +262,7 @@ def _cmd_run(args) -> int:
     with open(args.config, "r", encoding="utf-8") as fh:
         cfg = parse_config(fh.read())
     ns = args.parser.parse_args([cfg.bench])  # the subcommand with its flag defaults
-    vars(ns).update(cfg.parameters, out=cfg.out, format=cfg.format,
-                    geom=list(cfg.geometry.items()))
+    vars(ns).update(cfg.parameters, geom=list(cfg.geometry.items()))
     return ns.handler(ns)
 
 
@@ -276,27 +275,33 @@ _MODE = Param("mode", "choice", "in",
               "Alice's analyzer: splitter in place, removed, or beam stop",
               choices=tuple(m.value for m in AliceMode), flag="--bs-a")
 _SEED = Param("seed", "int", 0, minimum=0)
+_OUTPUT = (Param("out", "text", help="write the table here instead of stdout"),
+           Param("format", "choice", "csv", choices=("csv", "json")))
 
 #: Every subcommand but ``run``: its handler, help line and parameters.
 COMMANDS = {
     "polar": Command(_cmd_polar, "polarization bench probabilities", (
         _ALPHA, _THETA,
         Param("grid", "int", 0, "sweep an NxN grid instead", minimum=0),
+        *_OUTPUT,
     )),
     "mz": Command(_cmd_mz, "path-interferometer bench probabilities", (
         _ALPHA, _PHI_A, _PHI_B, _MODE,
         Param("grid", "int", 0, "sweep an NxNxN grid instead", minimum=0),
         Param("marginals", "flag", False,
               "emit only Bob's singles over an (alpha, phi_b) grid"),
+        *_OUTPUT,
     )),
     "wedge": Command(_cmd_wedge, "wedge-mirror bench integrated singles", (
         _ALPHA, _PHI_A, _PHI_B,
         Param("profile", "flag", False,
               "emit the detector-plane profile instead of integrals"),
+        *_OUTPUT,
     ), geometry=True),
     "diffmap": Command(_cmd_diffmap, "wedge singles difference over a settings grid", (
         _angle("phi_a", "pi/2"),
         Param("grid", "int", 3, minimum=0),
+        *_OUTPUT,
     ), geometry=True),
     "sample": Command(_cmd_sample, "draw a deterministic event stream", (
         Param("bench", "choice", "polar", choices=("polar", "mz")),
@@ -305,6 +310,7 @@ COMMANDS = {
         _SEED,
         Param("workers", "int", 1, minimum=1),
         Param("summary", "flag", False, "emit empirical marginals instead of raw events"),
+        *_OUTPUT,
     )),
     "chsh": Command(_cmd_chsh, "CHSH estimate at alpha=0", (
         Param("angles", "angles", "0,pi/8,pi/4,3*pi/8",
@@ -312,12 +318,13 @@ COMMANDS = {
         Param("n", "int", None,
               "events per setting pair (omit for the analytic value)", minimum=1),
         _SEED,
+        *_OUTPUT,
     )),
     "audit": Command(_cmd_audit, "no-signaling sweep; exit 2 on failure", (
         Param("bench", "choice", "all", choices=("polar", "mz", "wedge", "all")),
         Param("grid", "int", None, minimum=1),
         Param("tolerance", "float", None),
-    ), geometry=True, output=False),
+    ), geometry=True),
 }
 
 
@@ -351,9 +358,6 @@ def build_parser() -> argparse.ArgumentParser:
         if command.geometry:
             p.add_argument("--geom", action="append", type=geometry_item,
                            metavar="KEY=VALUE", help="override a geometry field (repeatable)")
-        if command.output:
-            p.add_argument("--out", help="write the table here instead of stdout")
-            p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.set_defaults(handler=command.handler)
 
     p = sub.add_parser("run", help="execute a config file")

@@ -86,8 +86,8 @@ class Param:
 
     ``name`` is the config key and the parsed attribute; the flag is
     ``--name`` with ``-`` for ``_`` unless ``flag`` names another.
-    ``kind`` is one of angle, int, float, choice, flag (a boolean), or
-    angles (four comma-separated angles).  argparse coerces a string
+    ``kind`` is one of angle, int, float, choice, flag (a boolean), text,
+    or angles (four comma-separated angles).  argparse coerces a string
     default like a flag value, so ``"pi/2"`` reads well in ``--help``.
     """
 
@@ -117,6 +117,8 @@ class Param:
             if text not in ("true", "false"):
                 raise ConfigError(f"{name}: expected true or false, got {raw!r}{where}")
             return text == "true"
+        if self.kind == "text":
+            return str(raw)
         if self.kind == "choice":
             if raw not in self.choices:
                 raise ConfigError(
@@ -139,14 +141,13 @@ class Param:
 
 @dataclass(frozen=True)
 class Command:
-    """A subcommand's handler, help line and parameters; whether it takes
-    wedge geometry (``--geom``) and writes a table (``--out``, ``--format``)."""
+    """A subcommand's handler, help line and parameters, and whether it
+    takes wedge geometry overrides (``--geom``)."""
 
     handler: Callable
     help: str
     params: tuple[Param, ...]
     geometry: bool = False
-    output: bool = True
 
 
 def _command(bench: str) -> Command:
@@ -189,20 +190,15 @@ def make_geometry(fields=None) -> WedgeGeometry:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """A subcommand name, its parameters, geometry overrides, and output routing."""
+    """A subcommand name, its parameters (``out`` and ``format`` included),
+    and geometry overrides."""
 
     bench: str
     parameters: dict = field(default_factory=dict)
     geometry: dict = field(default_factory=dict)
-    out: str | None = None
-    format: str = "csv"
 
     def __post_init__(self) -> None:
         command = _command(self.bench)
-        if self.format not in ("csv", "json"):
-            raise ConfigError(f"format must be 'csv' or 'json', got {self.format!r}")
-        if not command.output and (self.out is not None or self.format != "csv"):
-            raise ConfigError(f"bench {self.bench!r} writes no table; out and format do not apply")
         allowed = {p.name for p in command.params}
         for key in self.parameters:
             if key not in allowed:
@@ -225,7 +221,7 @@ def _assemble(entries: list[tuple[str, object, str | None]]) -> RunConfig:
     seen: set[tuple[str, str]] = set()
     for key, raw, line in entries:
         where = f" (line {line!r})" if line else ""
-        if key in ("bench", "out", "format"):
+        if key == "bench":
             group, name = key, key
         elif key.startswith("geometry.") or key in _GEOMETRY_TYPES:
             group, name = "geometry", key.removeprefix("geometry.")
@@ -239,8 +235,6 @@ def _assemble(entries: list[tuple[str, object, str | None]]) -> RunConfig:
         elif group == "parameters":
             param = params.get(name)  # RunConfig names an unknown key
             fields["parameters"][name] = param.coerce(raw, where) if param else raw
-        elif key != "bench":
-            fields[key] = str(raw)
     return RunConfig(bench=bench, **fields)
 
 
@@ -294,7 +288,4 @@ def serialize_config(cfg: RunConfig) -> str:
     for key in sorted(cfg.geometry):
         lines.append(f"{key}={cfg.geometry[key]:.17g}" if isinstance(cfg.geometry[key], float)
                      else f"{key}={cfg.geometry[key]}")
-    if cfg.out is not None:
-        lines.append(f"out={cfg.out}")
-    lines.append(f"format={cfg.format}")
     return "\n".join(lines) + "\n"

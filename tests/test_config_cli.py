@@ -139,7 +139,7 @@ class TestParseConfig:
         assert cfg.bench == "mz"
         assert cfg.parameters["alpha"] == math.pi / 8
         assert cfg.parameters["mode"] == "out"
-        assert cfg.format == "json"
+        assert cfg.parameters["format"] == "json"
 
     def test_json_geometry_object(self):
         cfg = parse_config('{"bench": "wedge", "geometry": {"beam_sigma": 3e-4}}')
@@ -180,7 +180,7 @@ class TestRunConfig:
 
     def test_unknown_format_rejected(self):
         with pytest.raises(ConfigError, match="format"):
-            RunConfig(bench="polar", format="xml")
+            parse_config("bench=polar format=xml")
 
     def test_unknown_geometry_field_rejected(self):
         with pytest.raises(ConfigError, match="geometry field"):
@@ -397,7 +397,7 @@ class TestConfigKeys:
             parse_config("bench=polar beam_sigma=3e-4")
 
     def test_audit_takes_no_output_keys(self):
-        with pytest.raises(ConfigError, match="writes no table"):
+        with pytest.raises(ConfigError, match="unknown parameter 'format'"):
             parse_config("bench=audit format=json")
 
 

@@ -18,6 +18,8 @@ import math
 import sys
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import pathbench, polarization, sampler, wedge
 from .config import Command, ConfigError, Param, geometry_item, make_geometry, parse_config
 from .output import Table, emit_table
@@ -51,29 +53,6 @@ class NoSignalReport:
         )
 
 
-class _Worst:
-    """Largest deviation an audit has seen, where, and over how many points.
-
-    Ties go to the later point.  A NaN difference becomes the worst and
-    stays, so an audit that computed a NaN anywhere cannot pass.
-    """
-
-    def __init__(self) -> None:
-        self.dev, self.at, self.count = 0.0, (), 0
-
-    def see(self, at: tuple, diff_b1: float, diff_b0: float) -> None:
-        self.count += 1
-        if math.isnan(diff_b1) or math.isnan(diff_b0):
-            dev = math.nan
-        else:
-            dev = max(abs(diff_b1), abs(diff_b0))
-        if not dev < self.dev and not math.isnan(self.dev):
-            self.dev, self.at = dev, at
-
-    def report(self, bench: str, tolerance: float) -> NoSignalReport:
-        return NoSignalReport(bench, self.count, self.dev, self.at, tolerance)
-
-
 def _linspace(stop: float, count: int) -> list[float]:
     if count < 2:
         return [0.0]
@@ -81,67 +60,72 @@ def _linspace(stop: float, count: int) -> list[float]:
     return [i * step for i in range(count)]
 
 
+def _audit(bench, tolerance, axes, diff, at=lambda *point: point) -> NoSignalReport:
+    """Report the worst of Bob's marginal differences ``diff``, shaped (2, *axes).
+
+    In visiting (C) order the first NaN wins, so an audit that computed a NaN
+    anywhere cannot pass; otherwise the last of equal maxima does.  ``at``
+    orders the worst point's coordinates for the report."""
+    dev = np.maximum(np.abs(diff[0]), np.abs(diff[1])).ravel()
+    nan = np.flatnonzero(np.isnan(dev))
+    i = nan[0] if nan.size else dev.size - 1 - int(np.argmax(dev[::-1]))
+    index = np.unravel_index(i, [len(axis) for axis in axes])
+    return NoSignalReport(bench, dev.size, float(dev[i]),
+                          at(*(axis[k] for axis, k in zip(axes, index))), tolerance)
+
+
 def audit_polar(grid: int = 200, tolerance: float = 1e-12) -> NoSignalReport:
     """Bob's polarization marginals must be (1/2, 1/2) for every setting."""
-    worst = _Worst()
-    for alpha in _linspace(math.pi / 2, grid):
-        for theta in _linspace(math.pi, grid):
-            marg = polarization.polar_bob_marginals(alpha, theta)
-            worst.see((alpha, theta), marg.p_b1 - 0.5, marg.p_b0 - 0.5)
-    return worst.report("polar", tolerance)
+    alphas, thetas = _linspace(math.pi / 2, grid), _linspace(math.pi, grid)
+    theta = np.array(thetas)
+    bob = [polarization.polar_bob_marginals(alpha, theta).as_tuple() for alpha in alphas]
+    return _audit("polar", tolerance, (alphas, thetas), np.stack(bob, axis=1) - 0.5)
 
 
 def audit_mz(grid: int = 50, tolerance: float = 1e-12) -> NoSignalReport:
     """Bob's path marginals must not depend on phi_a or on Alice's mode."""
-    worst = _Worst()
-    modes = [(mode, mode.value) for mode in AliceMode]
-    for alpha in _linspace(math.pi / 2, grid):
-        for phi_b in _linspace(2 * math.pi, grid):
-            want = pathbench.expected_bob_marginals(alpha, phi_b)
-            for phi_a in _linspace(2 * math.pi, grid):
-                for mode, label in modes:
-                    got = pathbench.mz_bob_marginals(alpha, phi_a, phi_b, mode)
-                    worst.see((alpha, phi_a, phi_b, label),
-                              got.p_b1 - want.p_b1, got.p_b0 - want.p_b0)
-    return worst.report("mz", tolerance)
+    alphas, phis = _linspace(math.pi / 2, grid), _linspace(2 * math.pi, grid)
+    phi_a, modes = np.array(phis), list(AliceMode)
+    phi_b = phi_a[:, None]
+
+    def diff(alpha):  # axes (phi_b, phi_a, mode)
+        want = np.array(pathbench.expected_bob_marginals(alpha, phi_b).as_tuple())[..., None]
+        got = [np.array(pathbench.mz_bob_marginals(alpha, phi_a, phi_b, mode).as_tuple())
+               for mode in modes]  # BEAM_STOP's lack the phi_a axis
+        return np.stack(np.broadcast_arrays(*got), axis=-1) - want
+
+    return _audit("mz", tolerance, (alphas, phis, phis, [mode.value for mode in modes]),
+                  np.stack([diff(alpha) for alpha in alphas], axis=1),
+                  lambda alpha, phi_b, phi_a, mode: (alpha, phi_a, phi_b, mode))
 
 
-def audit_wedge(
-    grid: int = 3,
-    tolerance: float = 1e-4,
-    geometry: WedgeGeometry | None = None,
-) -> NoSignalReport:
+def audit_wedge(grid: int = 3, tolerance: float = 1e-4,
+                geometry: WedgeGeometry | None = None) -> NoSignalReport:
     """Integrated wedge singles must track the phi_a-free closed form."""
     geom = geometry if geometry is not None else WedgeGeometry()
-    worst = _Worst()
-    for alpha in _linspace(math.pi / 2, max(grid, 2)):
-        for phi_b in _linspace(2 * math.pi, max(grid, 2)):
+    alphas, phis_b = _linspace(math.pi / 2, grid), _linspace(2 * math.pi, grid)
+    phis_a = (0.0, math.pi / 2)
+    diff = np.empty((2, len(alphas), len(phis_b), len(phis_a)))
+    for i, alpha in enumerate(alphas):
+        for j, phi_b in enumerate(phis_b):
             want = pathbench.expected_bob_marginals(alpha, phi_b)
-            for phi_a in (0.0, math.pi / 2):
-                got = wedge.wedge_bob_singles(alpha, phi_a, phi_b, geom)
-                worst.see((alpha, phi_a, phi_b),
-                          got[0].value - want.p_b1, got[1].value - want.p_b0)
-    return worst.report("wedge", tolerance)
+            for k, phi_a in enumerate(phis_a):
+                b1, b0 = wedge.wedge_bob_singles(alpha, phi_a, phi_b, geom)
+                diff[:, i, j, k] = (b1.value - want.p_b1, b0.value - want.p_b0)
+    return _audit("wedge", tolerance, (alphas, phis_b, phis_a), diff,
+                  lambda alpha, phi_b, phi_a: (alpha, phi_a, phi_b))
 
 
-def run_no_signal_audit(
-    bench: str = "all",
-    grid: int | None = None,
-    tolerance: float | None = None,
-    geometry: WedgeGeometry | None = None,
-) -> list[NoSignalReport]:
+def run_no_signal_audit(bench: str = "all", grid: int | None = None,
+                        tolerance: float | None = None,
+                        geometry: WedgeGeometry | None = None) -> list[NoSignalReport]:
     """Run one audit or all three; a grid or tolerance of None keeps each audit's default."""
     given = {k: v for k, v in (("grid", grid), ("tolerance", tolerance)) if v is not None}
-    reports = []
-    if bench in ("polar", "all"):
-        reports.append(audit_polar(**given))
-    if bench in ("mz", "all"):
-        reports.append(audit_mz(**given))
-    if bench in ("wedge", "all"):
-        reports.append(audit_wedge(geometry=geometry, **given))
-    if not reports:
+    audits = {"polar": audit_polar, "mz": audit_mz,
+              "wedge": lambda **kw: audit_wedge(geometry=geometry, **kw)}
+    if bench != "all" and bench not in audits:
         raise ConfigError(f"unknown audit bench {bench!r}")
-    return reports
+    return [audit(**given) for name, audit in audits.items() if bench in (name, "all")]
 
 
 def _emit(table: Table, args) -> int:
@@ -154,47 +138,19 @@ def _emit(table: Table, args) -> int:
 
 
 def _cmd_polar(args) -> int:
-    if args.grid:
-        alphas = _linspace(math.pi / 2, args.grid)
-        thetas = _linspace(math.pi, args.grid)
-        table = polarization.polar_sweep(alphas, thetas)
-    else:
-        probs = polarization.polar_joint_probabilities(args.alpha, args.theta)
-        table = Table(
-            columns=("alpha", "theta", "p_hh", "p_hv", "p_vh", "p_vv"),
-            rows=[(args.alpha, args.theta) + probs.as_tuple()],
-        )
-    return _emit(table, args)
+    axes = ((_linspace(math.pi / 2, args.grid), _linspace(math.pi, args.grid)) if args.grid
+            else ([args.alpha], [args.theta]))
+    return _emit(polarization.polar_sweep(*axes), args)
 
 
 def _cmd_mz(args) -> int:
-    mode = AliceMode(args.mode)
+    if args.marginals and not args.grid:
+        raise ConfigError("mz --marginals needs --grid N with N >= 1")
+    alphas, phis = _linspace(math.pi / 2, args.grid), _linspace(2 * math.pi, args.grid)
     if args.marginals:
-        n = max(args.grid, 2)
-        table = pathbench.mz_marginal_sweep(
-            _linspace(math.pi / 2, n), _linspace(2 * math.pi, n)
-        )
-    elif args.grid:
-        alphas = _linspace(math.pi / 2, args.grid)
-        phis = _linspace(2 * math.pi, args.grid)
-        table = pathbench.mz_sweep(alphas, phis, phis, (mode,))
-    else:
-        marg = pathbench.mz_bob_marginals(args.alpha, args.phi_a, args.phi_b, mode)
-        if mode is AliceMode.BEAM_STOP:
-            joints = (math.nan,) * 4
-        else:
-            joints = pathbench.mz_joint_probabilities(
-                args.alpha, args.phi_a, args.phi_b, mode
-            ).as_tuple()
-        table = Table(
-            columns=(
-                "alpha", "phi_a", "phi_b", "mode",
-                "p_a1b1", "p_a1b0", "p_a0b1", "p_a0b0", "p_b1", "p_b0",
-            ),
-            rows=[(args.alpha, args.phi_a, args.phi_b, mode.value)
-                  + joints + (marg.p_b1, marg.p_b0)],
-        )
-    return _emit(table, args)
+        return _emit(pathbench.mz_marginal_sweep(alphas, phis), args)
+    axes = (alphas, phis, phis) if args.grid else ([args.alpha], [args.phi_a], [args.phi_b])
+    return _emit(pathbench.mz_sweep(*axes, (AliceMode(args.mode),)), args)
 
 
 def _cmd_wedge(args) -> int:
@@ -212,10 +168,8 @@ def _cmd_wedge(args) -> int:
 
 
 def _cmd_diffmap(args) -> int:
-    n = max(args.grid, 2)
-    table = wedge.signal_difference_map(
-        _linspace(math.pi / 2, n), _linspace(2 * math.pi, n), args.phi_a, make_geometry(args.geom)
-    )
+    grid = (_linspace(math.pi / 2, args.grid), _linspace(2 * math.pi, args.grid))
+    table = wedge.signal_difference_map(*grid, args.phi_a, make_geometry(args.geom))
     return _emit(table, args)
 
 
@@ -300,7 +254,7 @@ COMMANDS = {
     ), geometry=True),
     "diffmap": Command(_cmd_diffmap, "wedge singles difference over a settings grid", (
         _angle("phi_a", "pi/2"),
-        Param("grid", "int", 3, minimum=0),
+        Param("grid", "int", 3, minimum=1),
         *_OUTPUT,
     ), geometry=True),
     "sample": Command(_cmd_sample, "draw a deterministic event stream", (

@@ -8,9 +8,12 @@ repeated runs are byte-identical.
 from __future__ import annotations
 
 import io
+import itertools
 import json
 from dataclasses import dataclass
 from pathlib import Path
+
+import numpy as np
 
 FLOAT_FORMAT = "%.17g"
 
@@ -29,6 +32,20 @@ class Table:
                     f"row of width {len(row)} does not match "
                     f"{len(self.columns)} columns"
                 )
+
+
+def grid_table(columns: tuple[str, ...], axes: tuple, values) -> Table:
+    """One row per point of the product of ``axes`` (last fastest): the point, then
+    its cells of ``values(first)``, one array per column over the remaining axes."""
+    if not all(len(axis) for axis in axes):
+        raise ValueError("sweep grids must be non-empty")
+    shape = tuple(len(axis) for axis in axes[1:])
+    rows = []
+    for first in axes[0]:
+        cells = zip(*(np.broadcast_to(v, shape).ravel().tolist() for v in values(first)))
+        rows.extend((first, *point, *cell)
+                    for point, cell in zip(itertools.product(*axes[1:]), cells))
+    return Table(columns=columns, rows=rows)
 
 
 def _format_cell(value) -> str:

@@ -22,24 +22,30 @@ Whatever she does, Bob's non-coincident singles stay
     P_B1 = [1 + sin(2 alpha) sin(phi_b)] / 2
     P_B0 = [1 - sin(2 alpha) sin(phi_b)] / 2
 
-which is the no-signaling statement this package exists to check.
+which is the no-signaling statement this package exists to check.  Its
+probabilities take floats or numpy arrays of settings alike, with equal bits.
 """
 
 from __future__ import annotations
 
-import cmath
 import enum
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .core import (
-    Basis,
     JointDistribution,
     MarginalDistribution,
+    array_namespace,
+    c_dot,
     canonical_angle,
-    distribution_from_amplitudes,
-    make_source_state,
+    joint_distribution,
+    moduli_squared,
+    source_coefficients,
+    _require_angle,
 )
+from .output import Table, grid_table
 
 SQRT2 = math.sqrt(2.0)
 
@@ -58,6 +64,14 @@ class AliceMode(enum.Enum):
     BEAM_STOP = "stop"
 
 
+def _check_mode(mode, joint: bool = False) -> AliceMode:
+    if not isinstance(mode, AliceMode):
+        raise TypeError(f"mode must be an AliceMode, got {mode!r}")
+    if joint and mode is AliceMode.BEAM_STOP:
+        raise ValueError("Alice has no detectors in BEAM_STOP mode; no joint amplitudes")
+    return mode
+
+
 @dataclass(frozen=True)
 class PathConfig:
     """Bench settings; angles are canonicalized into [0, 2*pi)."""
@@ -71,30 +85,48 @@ class PathConfig:
         object.__setattr__(self, "alpha", canonical_angle(self.alpha, "alpha"))
         object.__setattr__(self, "phi_a", canonical_angle(self.phi_a, "phi_a"))
         object.__setattr__(self, "phi_b", canonical_angle(self.phi_b, "phi_b"))
-        if not isinstance(self.mode, AliceMode):
-            raise TypeError(f"mode must be an AliceMode, got {self.mode!r}")
+        _check_mode(self.mode)
 
 
-def _splitter_rows(phi: float) -> tuple[tuple[complex, complex], tuple[complex, complex]]:
-    """Phase shifter on path 1 followed by the 50/50 splitter; rows (det1, det0)."""
-    ph = cmath.exp(1j * phi)
-    return (
-        (ph / SQRT2, 1.0 / SQRT2),
-        (-1j * ph / SQRT2, 1j / SQRT2),
-    )
+def _arm(phi, xp, splitter: bool):
+    """One arm's rows (det1, det0) over (path 1, path 2): the phase shifter on
+    path 1, then the 50/50 splitter; without it, det1 sees path 2 and det0 path 1
+    through the shifter (mirror phase -i).  As cos phi != 0 and sin phi is +0.0
+    or nonzero, the pairs have the bits of CPython's complex results."""
+    c, s = xp.cos(phi), xp.sin(phi)
+    if not splitter:
+        return ((0.0, 0.0), (1.0, 0.0)), ((s, -c), (0.0, 0.0))
+    return ((c / SQRT2, s / SQRT2), (1 / SQRT2, 0.0)), ((s / SQRT2, -c / SQRT2), (0.0, 1 / SQRT2))
 
 
-def _alice_rows(
-    phi_a: float, mode: AliceMode
-) -> tuple[tuple[complex, complex], tuple[complex, complex]]:
-    if mode is AliceMode.SPLITTER_IN:
-        return _splitter_rows(phi_a)
-    if mode is AliceMode.SPLITTER_OUT:
-        # Detectors moved onto the bare paths: A1 <- path 2 directly,
-        # A0 <- path 1 through the phase shifter (mirror phase -i).
-        ph = cmath.exp(1j * phi_a)
-        return ((0.0, 1.0), (-1j * ph, 0.0))
-    raise ValueError("Alice has no detectors in BEAM_STOP mode; no joint amplitudes")
+def _amplitudes(alpha, phi_a, phi_b, mode: AliceMode):
+    """Bob's table g[k][j] (Alice's path k+1, Bob's detector (B1, B0)[j]) and the
+    coincidence amplitudes (A1B1, A1B0, A0B1, A0B0), None in BEAM_STOP, as pairs."""
+    xp = array_namespace(alpha, phi_a, phi_b)
+    corr, anti = source_coefficients(alpha)
+    c11, c12, c21, c22 = (corr, 0.0), (0.0, anti), (0.0, -anti), (corr, 0.0)
+    (u11, u12), (u01, u02) = _arm(phi_b, xp, True)
+    g = ((c_dot(c11, u11, c12, u12), c_dot(c11, u01, c12, u02)),
+         (c_dot(c21, u11, c22, u12), c_dot(c21, u01, c22, u02)))
+    if _check_mode(mode) is AliceMode.BEAM_STOP:
+        return g, None
+    (v11, v12), (v01, v02) = _arm(phi_a, xp, mode is AliceMode.SPLITTER_IN)
+    (g11, g10), (g21, g20) = g
+    return g, (c_dot(v11, g11, v12, g21), c_dot(v11, g10, v12, g20),
+               c_dot(v01, g11, v02, g21), c_dot(v01, g10, v02, g20))
+
+
+def _probabilities(alpha, phi_a, phi_b, mode: AliceMode):
+    """Joint distribution (None in BEAM_STOP: Bob's singles then sum |g|^2 over
+    Alice's paths) and Bob's singles."""
+    g, amplitudes = _amplitudes(canonical_angle(alpha, "alpha"), canonical_angle(phi_a, "phi_a"),
+                                canonical_angle(phi_b, "phi_b"), mode)
+    if amplitudes is None:
+        w11, w10, w21, w20 = moduli_squared(g[0] + g[1])
+        p_b1, p_b0 = w11 + w21, w10 + w20
+        return None, MarginalDistribution(p_b1 / (p_b1 + p_b0), p_b0 / (p_b1 + p_b0))
+    joint = joint_distribution(moduli_squared(amplitudes))
+    return joint, joint.bob_marginal()
 
 
 def bob_outcome_amplitudes(
@@ -107,13 +139,9 @@ def bob_outcome_amplitudes(
     Sums of |amplitude|^2 over k give Bob's singles; the same table feeds
     the wedge bench where Alice's paths stay spatially resolved.
     """
-    state = make_source_state(alpha, Basis.PATH)
-    (c11, c12), (c21, c22) = (state.c11, state.c12), (state.c21, state.c22)
-    u_b = _splitter_rows(canonical_angle(phi_b, "phi_b"))
-    return (
-        (c11 * u_b[0][0] + c12 * u_b[0][1], c11 * u_b[1][0] + c12 * u_b[1][1]),
-        (c21 * u_b[0][0] + c22 * u_b[0][1], c21 * u_b[1][0] + c22 * u_b[1][1]),
-    )
+    g, _ = _amplitudes(_require_angle(alpha, "alpha"), 0.0, canonical_angle(phi_b, "phi_b"),
+                       AliceMode.BEAM_STOP)
+    return tuple(tuple(complex(*z) for z in row) for row in g)
 
 
 def mz_joint_amplitudes(
@@ -123,14 +151,9 @@ def mz_joint_amplitudes(
 
     Raises for BEAM_STOP, which has no Alice detectors.
     """
-    cfg = PathConfig(alpha=alpha, phi_a=phi_a, phi_b=phi_b, mode=mode)
-    g = bob_outcome_amplitudes(cfg.alpha, cfg.phi_b)
-    u_a = _alice_rows(cfg.phi_a, cfg.mode)
-    amps = []
-    for i in (0, 1):  # Alice detector A1, A0
-        for j in (0, 1):  # Bob detector B1, B0
-            amps.append(u_a[i][0] * g[0][j] + u_a[i][1] * g[1][j])
-    return tuple(amps)
+    _, amplitudes = _amplitudes(canonical_angle(alpha, "alpha"), canonical_angle(phi_a, "phi_a"),
+                                canonical_angle(phi_b, "phi_b"), _check_mode(mode, joint=True))
+    return tuple(complex(*z) for z in amplitudes)
 
 
 def mz_joint_probabilities(
@@ -142,7 +165,7 @@ def mz_joint_probabilities(
     ``uncorrected_mz_joint_probabilities`` for the closed forms they
     replace and why.
     """
-    return distribution_from_amplitudes(mz_joint_amplitudes(alpha, phi_a, phi_b, mode))
+    return _probabilities(alpha, phi_a, phi_b, _check_mode(mode, joint=True))[0]
 
 
 def uncorrected_mz_joint_probabilities(
@@ -170,80 +193,46 @@ def uncorrected_mz_joint_probabilities(
 def mz_bob_marginals(
     alpha: float, phi_a: float, phi_b: float, mode: AliceMode = AliceMode.SPLITTER_IN
 ) -> MarginalDistribution:
-    """Bob's singles (P_B1, P_B0) for any of Alice's three configurations.
-
-    BEAM_STOP traces Alice out: Bob's outcome probabilities are the sums
-    of |amplitude|^2 over her (which-path resolvable) alternatives.
-    """
-    cfg = PathConfig(alpha=alpha, phi_a=phi_a, phi_b=phi_b, mode=mode)
-    if cfg.mode is AliceMode.BEAM_STOP:
-        g = bob_outcome_amplitudes(cfg.alpha, cfg.phi_b)
-        p_b1 = abs(g[0][0]) ** 2 + abs(g[1][0]) ** 2
-        p_b0 = abs(g[0][1]) ** 2 + abs(g[1][1]) ** 2
-        total = p_b1 + p_b0
-        return MarginalDistribution(p_b1=p_b1 / total, p_b0=p_b0 / total)
-    return mz_joint_probabilities(cfg.alpha, cfg.phi_a, cfg.phi_b, cfg.mode).bob_marginal()
+    """Bob's singles (P_B1, P_B0) for any of Alice's three configurations."""
+    return _probabilities(alpha, phi_a, phi_b, mode)[1]
 
 
 def expected_bob_marginals(alpha: float, phi_b: float) -> MarginalDistribution:
     """Closed-form Bob singles [1 +/- sin(2 alpha) sin(phi_b)] / 2."""
-    x = math.sin(2.0 * alpha) * math.sin(phi_b)
+    xp = array_namespace(alpha, phi_b)
+    x = xp.sin(2.0 * alpha) * xp.sin(phi_b)
     return MarginalDistribution(p_b1=(1.0 + x) / 2.0, p_b0=(1.0 - x) / 2.0)
 
 
-def mz_sweep(
-    alpha_list: list[float],
-    phi_a_grid: list[float],
-    phi_b_grid: list[float],
-    modes: list[AliceMode] | None = None,
-) -> "Table":
+def mz_sweep(alpha_list: list[float], phi_a_grid: list[float], phi_b_grid: list[float],
+             modes: list[AliceMode] | None = None) -> Table:
     """Joint + marginal probabilities per configuration.
 
     BEAM_STOP rows carry NaN in the coincidence columns since those
     detectors do not exist in that configuration.
     """
-    from .output import Table
+    modes = [AliceMode.SPLITTER_IN] if modes is None else list(modes)
+    labels = [_check_mode(mode).value for mode in modes]
+    phi_a = np.asarray(phi_a_grid, dtype=float)[:, None]
+    phi_b = np.asarray(phi_b_grid, dtype=float)
 
-    if modes is None:
-        modes = [AliceMode.SPLITTER_IN]
-    if not alpha_list or not phi_a_grid or not phi_b_grid or not modes:
-        raise ValueError("sweep grids must be non-empty")
-    rows = []
-    for alpha in alpha_list:
-        for phi_a in phi_a_grid:
-            for phi_b in phi_b_grid:
-                for mode in modes:
-                    if mode is AliceMode.BEAM_STOP:
-                        joint = (math.nan,) * 4
-                    else:
-                        joint = mz_joint_probabilities(alpha, phi_a, phi_b, mode).as_tuple()
-                    marg = mz_bob_marginals(alpha, phi_a, phi_b, mode)
-                    rows.append(
-                        (alpha, phi_a, phi_b, mode.value) + joint + marg.as_tuple()
-                    )
-    return Table(
-        columns=(
-            "alpha", "phi_a", "phi_b", "mode",
-            "p_a1b1", "p_a1b0", "p_a0b1", "p_a0b0",
-            "p_b1", "p_b0",
-        ),
-        rows=rows,
-    )
+    def values(alpha):  # each column over (phi_a, phi_b, mode)
+        per_mode = [_probabilities(alpha, phi_a, phi_b, mode) for mode in modes]
+        per_mode = [((math.nan,) * 4 if joint is None else joint.as_tuple()) + marg.as_tuple()
+                    for joint, marg in per_mode]
+        return [np.stack(np.broadcast_arrays(*column), axis=-1) for column in zip(*per_mode)]
+
+    return grid_table(("alpha", "phi_a", "phi_b", "mode",
+                       "p_a1b1", "p_a1b0", "p_a0b1", "p_a0b0", "p_b1", "p_b0"),
+                      (alpha_list, phi_a_grid, phi_b_grid, labels), values)
 
 
-def mz_marginal_sweep(alpha_list: list[float], phi_b_grid: list[float]) -> "Table":
+def mz_marginal_sweep(alpha_list: list[float], phi_b_grid: list[float]) -> Table:
     """Bob-singles table (alpha, phi_b, p_b1, p_b0).
 
     Computed through the full coincidence pipeline (phi_a and Alice's mode
     drop out of the sums, which is the point of the bench).
     """
-    from .output import Table
-
-    if not alpha_list or not phi_b_grid:
-        raise ValueError("sweep grids must be non-empty")
-    rows = []
-    for alpha in alpha_list:
-        for phi_b in phi_b_grid:
-            marg = mz_bob_marginals(alpha, 0.0, phi_b, AliceMode.SPLITTER_IN)
-            rows.append((alpha, phi_b) + marg.as_tuple())
-    return Table(columns=("alpha", "phi_b", "p_b1", "p_b0"), rows=rows)
+    phi_b = np.asarray(phi_b_grid, dtype=float)
+    return grid_table(("alpha", "phi_b", "p_b1", "p_b0"), (alpha_list, phi_b_grid),
+                      lambda alpha: mz_bob_marginals(alpha, 0.0, phi_b).as_tuple())

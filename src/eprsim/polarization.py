@@ -16,7 +16,8 @@ giving coincidence rates
 
 and exactly flat singles at Bob regardless of (alpha, theta): rotating
 Alice's analyzer modulates the coincidence pattern but never the
-non-coincident rate on Bob's side.
+non-coincident rate on Bob's side.  The probability functions take floats
+or numpy arrays of settings alike, and give the same bits either way.
 """
 
 from __future__ import annotations
@@ -24,12 +25,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .core import (
     JointDistribution,
     MarginalDistribution,
+    array_namespace,
     canonical_angle,
-    distribution_from_amplitudes,
+    joint_distribution,
+    moduli_squared,
 )
+from .output import Table, grid_table
 
 SQRT2 = math.sqrt(2.0)
 
@@ -49,22 +55,26 @@ class PolarizationConfig:
         object.__setattr__(self, "theta", canonical_angle(self.theta, "theta"))
 
 
-def polar_joint_amplitudes(
-    alpha: float, theta: float
-) -> tuple[complex, complex, complex, complex]:
-    """Coincidence amplitudes (HH, HV, VH, VV) at analyzer angle theta.
+def _amplitudes(alpha, theta):
+    """Coincidence amplitudes (HH, HV, VH, VV) as (real, imaginary) pairs.
 
     The VH amplitude uses sin(alpha) in its second term; the cos(alpha)
     variant kept in ``uncorrected_vh_amplitude`` breaks normalization.
     """
-    cfg = PolarizationConfig(alpha=alpha, theta=theta)
-    ca, sa = math.cos(cfg.alpha), math.sin(cfg.alpha)
-    ct, st = math.cos(cfg.theta), math.sin(cfg.theta)
-    psi_hh = complex(-sa * ct, ca * st) / SQRT2
-    psi_hv = complex(-ca * ct, sa * st) / SQRT2
-    psi_vh = complex(ca * ct, -sa * st) / SQRT2
-    psi_vv = complex(sa * ct, -ca * st) / SQRT2
-    return (psi_hh, psi_hv, psi_vh, psi_vv)
+    alpha, theta = canonical_angle(alpha, "alpha"), canonical_angle(theta, "theta")
+    xp = array_namespace(alpha, theta)
+    ca, sa, ct, st = xp.cos(alpha), xp.sin(alpha), xp.cos(theta), xp.sin(theta)
+    # psi / SQRT2 as CPython divides by complex(SQRT2, 0.0), down to signed zeros
+    return [((re + im * 0.0) / SQRT2, (im - re * 0.0) / SQRT2)
+            for re, im in ((-sa * ct, ca * st), (-ca * ct, sa * st),
+                           (ca * ct, -sa * st), (sa * ct, -ca * st))]
+
+
+def polar_joint_amplitudes(
+    alpha: float, theta: float
+) -> tuple[complex, complex, complex, complex]:
+    """Coincidence amplitudes (HH, HV, VH, VV) at analyzer angle theta."""
+    return tuple(complex(re, im) for re, im in _amplitudes(alpha, theta))
 
 
 def uncorrected_vh_amplitude(alpha: float, theta: float) -> complex:
@@ -82,7 +92,7 @@ def uncorrected_vh_amplitude(alpha: float, theta: float) -> complex:
 
 def polar_joint_probabilities(alpha: float, theta: float) -> JointDistribution:
     """Coincidence distribution over (HH, HV, VH, VV)."""
-    return distribution_from_amplitudes(polar_joint_amplitudes(alpha, theta))
+    return joint_distribution(moduli_squared(_amplitudes(alpha, theta)))
 
 
 def polar_bob_marginals(alpha: float, theta: float) -> MarginalDistribution:
@@ -90,18 +100,9 @@ def polar_bob_marginals(alpha: float, theta: float) -> MarginalDistribution:
     return polar_joint_probabilities(alpha, theta).bob_marginal()
 
 
-def polar_sweep(alpha_list: list[float], theta_grid: list[float]) -> "Table":
+def polar_sweep(alpha_list: list[float], theta_grid: list[float]) -> Table:
     """Row-per-(alpha, theta) coincidence table."""
-    from .output import Table
-
-    if not alpha_list or not theta_grid:
-        raise ValueError("sweep grids must be non-empty")
-    rows = []
-    for alpha in alpha_list:
-        for theta in theta_grid:
-            dist = polar_joint_probabilities(alpha, theta)
-            rows.append((alpha, theta) + dist.as_tuple())
-    return Table(
-        columns=("alpha", "theta", "p_hh", "p_hv", "p_vh", "p_vv"),
-        rows=rows,
-    )
+    theta = np.asarray(theta_grid, dtype=float)
+    return grid_table(("alpha", "theta", "p_hh", "p_hv", "p_vh", "p_vv"),
+                      (alpha_list, theta_grid),
+                      lambda alpha: polar_joint_probabilities(alpha, theta).as_tuple())

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import JointDistribution
 from .pathbench import (
     BOB_OUTCOMES,
     PATH_OUTCOMES,
@@ -166,12 +165,6 @@ class ChshEstimate:
     angles: tuple[float, float, float, float]
 
 
-def _correlation_distribution(theta: float) -> JointDistribution:
-    # alpha = 0: rotational invariance lets one analyzer carry the
-    # relative angle while the other stays fixed
-    return polar_joint_probabilities(0.0, theta)
-
-
 def estimate_chsh(
     angles: tuple[float, float, float, float] = (0.0, math.pi / 8, math.pi / 4, 3 * math.pi / 8),
     n: int | None = None,
@@ -199,7 +192,9 @@ def estimate_chsh(
     correlations = []
     variances = []
     for idx, (ta, tb) in enumerate(pairs):
-        dist = _correlation_distribution(ta - tb)
+        # alpha = 0: rotational invariance lets one analyzer carry the
+        # relative angle while the other stays fixed
+        dist = polar_joint_probabilities(0.0, ta - tb)
         if n is None:
             p11, p10, p01, p00 = dist.as_tuple()
             e = p11 - p10 - p01 + p00

@@ -163,10 +163,7 @@ class BeamProfile:
         return float(self.grid[1] - self.grid[0])
 
     def norm_sq(self) -> float:
-        intensity = np.abs(self.field) ** 2
-        if len(intensity) % 2 == 1:
-            return float(_simpson(intensity, self.spacing))
-        return float(np.trapezoid(intensity, dx=self.spacing))
+        return _simpson(np.abs(self.field) ** 2, self.spacing)
 
 
 @dataclass(frozen=True)

@@ -6,11 +6,13 @@ import re
 import shlex
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from eprsim import pathbench, polarization
 from eprsim.cli import (
     COMMANDS,
+    _audit,
     audit_mz,
     audit_polar,
     audit_wedge,
@@ -218,6 +220,40 @@ class TestAudits:
         with pytest.raises(ConfigError, match="audit bench"):
             run_no_signal_audit("foo")
 
+    def test_worst_point_is_the_last_of_equal_maxima(self):
+        diff = np.array([[0.1, -0.3, 0.3, 0.2], [0.0, 0.0, -0.3, 0.0]])  # (P_B1, P_B0)
+        report = _audit("x", 1.0, ([10, 20, 30, 40],), diff)
+        assert (report.max_deviation, report.worst_at, report.configurations) == (0.3, (30,), 4)
+
+    def test_wedge_audit_grid_of_one_is_one_cell(self):
+        report = audit_wedge(grid=1, geometry=WedgeGeometry(**SMALL_GEOMETRY))
+        assert report.configurations == 2  # alpha = phi_b = 0, two phi_a
+        assert report.passed
+
+
+class TestGridOfOne:
+    """A grid of 1 is the one-point axis [0.0]; it is never widened to 2."""
+
+    def test_mz_marginals_grid_one_is_one_row(self, capsys):
+        assert main(["mz", "--marginals", "--grid", "1"]) == 0
+        header, *rows = capsys.readouterr().out.splitlines()
+        assert header == "alpha,phi_b,p_b1,p_b0"
+        assert [row.split(",")[:2] for row in rows] == [["0", "0"]]
+
+    @pytest.mark.parametrize("argv", [[], ["--grid", "0"]])
+    def test_mz_marginals_needs_a_grid(self, argv, capsys):
+        assert main(["mz", "--marginals"] + argv) == 1
+        assert "--grid" in capsys.readouterr().err
+
+    def test_diffmap_grid_one_is_one_row(self, capsys):
+        assert main(["diffmap", "--grid", "1"] + GEOM_FLAGS) == 0
+        header, *rows = capsys.readouterr().out.splitlines()
+        assert [row.split(",")[:2] for row in rows] == [["0", "0"]]
+
+    def test_diffmap_grid_zero_rejected(self, capsys):
+        assert main(["diffmap", "--grid", "0"] + GEOM_FLAGS) == 1
+        assert "grid: must be >= 1" in capsys.readouterr().err
+
 
 class TestCliCommands:
     def test_polar_point_to_stdout(self, capsys):
@@ -380,6 +416,7 @@ class TestConfigKeys:
         ("bench=sample workers=0", "workers"),
         ("bench=sample n=-1", "n"),
         ("bench=audit grid=0", "grid"),
+        ("bench=diffmap grid=0", "grid"),
     ])
     def test_integer_minimum(self, text, key):
         with pytest.raises(ConfigError, match=rf"{key}: must be >="):
@@ -521,15 +558,20 @@ class TestAuditInputs:
         module, name = ((polarization, "polar_bob_marginals") if audit == "polar"
                         else (pathbench, "expected_bob_marginals"))
         real = getattr(module, name)
-        calls = {"polar": 9, "mz": 9, "wedge": 4}[audit]
+        # polar and mz take one call per alpha on arrays, wedge one per (alpha, phi_b)
+        calls = {"polar": 3, "mz": 3, "wedge": 4}[audit]
         seen = []
 
         def with_nan(*args):
             marg = real(*args)
             seen.append(args)
-            at = 1 if nan_call == "first" else calls
-            # NaN in p_b0 only: max(finite, nan) would keep the finite value
-            return MarginalDistribution(marg.p_b1, math.nan) if len(seen) == at else marg
+            if len(seen) != (1 if nan_call == "first" else calls):
+                return marg
+            # NaN in p_b0 only, at the call's first or last setting:
+            # max(finite, nan) would keep the finite value
+            p_b0 = np.array(marg.p_b0, dtype=float)
+            p_b0.flat[0 if nan_call == "first" else -1] = math.nan
+            return MarginalDistribution(marg.p_b1, p_b0 if p_b0.ndim else float(p_b0))
 
         monkeypatch.setattr(module, name, with_nan)
         report = {
@@ -541,6 +583,12 @@ class TestAuditInputs:
         assert math.isnan(report.max_deviation)
         assert not report.passed
         assert report.line().startswith(f"[FAIL] {audit}: max marginal deviation nan")
+        # the first NaN in visiting order is the reported point, however
+        # large the finite deviations visited after it
+        last = {"polar": (math.pi / 2, math.pi), "mz": (math.pi / 2, 0.0, 2 * math.pi, "in"),
+                "wedge": (math.pi / 2, 0.0, 2 * math.pi)}[audit]
+        first = tuple(0.0 if isinstance(v, float) else v for v in last)
+        assert report.worst_at == (first if nan_call == "first" else last)
 
 
 def _readme_blocks(section: str) -> list[tuple[str, str]]:

@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 
 from eprsim.core import (
@@ -140,3 +141,16 @@ class TestCanonicalAngle:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError, match="x"):
             canonical_angle(math.inf, "x")
+        with pytest.raises(ValueError, match="x must be finite, got nan"):
+            canonical_angle(np.array([0.0, math.nan]), "x")
+
+    @pytest.mark.parametrize("tiny", [-1e-300, -1e-17, -5e-324])
+    def test_tiny_negative_angle_is_zero_not_two_pi(self, tiny):
+        # tiny % 2pi rounds up to 2pi itself, outside [0, 2pi)
+        assert canonical_angle(tiny) == 0.0
+        assert canonical_angle(np.array([tiny, 1.0])).tolist() == [0.0, 1.0]
+        assert canonical_angle(canonical_angle(tiny)) == canonical_angle(tiny)
+
+    def test_arrays_match_floats(self):
+        values = [-20.0, -0.25, 0.0, 1.0, 2 * math.pi, 7.5, 1e300]
+        assert canonical_angle(np.array(values)).tolist() == [canonical_angle(v) for v in values]

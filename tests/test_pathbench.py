@@ -215,6 +215,15 @@ class TestConfigAndSweeps:
         assert cfg.alpha == pytest.approx(2 * math.pi - 0.1)
         assert cfg.phi_a == pytest.approx(7.0 - 2 * math.pi)
 
+    def test_tiny_negative_phase_row_agrees_with_itself(self):
+        # -1e-300 % 2pi rounds to 2pi; canonical 0 in every call keeps a
+        # row's marginals equal to the sums of its joint probabilities
+        assert PathConfig(0.3, -1e-300, 0.5).phi_a == 0.0
+        marg = mz_bob_marginals(0.3, -1e-300, 0.5)
+        (row,) = mz_sweep([0.3], [-1e-300], [0.5]).rows
+        assert row[8:] == marg.as_tuple()
+        assert marg.p_b0 == row[5] + row[7]
+
     def test_sweep_schema(self):
         table = mz_sweep([0.0], [0.0], [0.0, 1.0], list(AliceMode))
         assert table.columns == (

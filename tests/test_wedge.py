@@ -127,6 +127,11 @@ class TestBeamProfileValidation:
         with pytest.raises(ValueError):
             BeamProfile(grid=grid, field=np.ones(101, dtype=complex))
 
+    def test_rejects_even_sample_count(self):
+        # the norm is a Simpson sum, which needs an odd number of samples
+        with pytest.raises(ValueError, match="odd number of samples"):
+            BeamProfile(grid=np.linspace(-1, 1, 100), field=np.zeros(100, dtype=complex))
+
     def test_arrays_frozen(self):
         prof = truncated_aperture_field(TRUNCATED, path=1)
         with pytest.raises(ValueError):

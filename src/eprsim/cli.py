@@ -159,10 +159,10 @@ def _cmd_wedge(args) -> int:
         table = wedge.wedge_profile_table(args.alpha, args.phi_a, args.phi_b, geom)
     else:
         b1, b0 = wedge.wedge_bob_singles(args.alpha, args.phi_a, args.phi_b, geom)
-        table = Table(
-            columns=("alpha", "phi_a", "phi_b", "p_b1", "p_b0", "err_b1", "err_b0"),
-            rows=[(args.alpha, args.phi_a, args.phi_b,
-                   b1.value, b0.value, b1.error_estimate, b0.error_estimate)],
+        table = Table.from_rows(
+            ("alpha", "phi_a", "phi_b", "p_b1", "p_b0", "err_b1", "err_b0"),
+            [(args.alpha, args.phi_a, args.phi_b,
+              b1.value, b0.value, b1.error_estimate, b0.error_estimate)],
         )
     return _emit(table, args)
 
@@ -184,9 +184,9 @@ def _cmd_sample(args) -> int:
     result = sampler.sample_outcome_codes(spec, workers=args.workers)
     if args.summary:
         marg = sampler.empirical_marginals(result)
-        table = Table(
-            columns=("n", "p_b1", "p_b0", "se_b1", "se_b0"),
-            rows=[(marg.n, marg.p_b1, marg.p_b0, marg.se_b1, marg.se_b0)],
+        table = Table.from_rows(
+            ("n", "p_b1", "p_b0", "se_b1", "se_b0"),
+            [(marg.n, marg.p_b1, marg.p_b0, marg.se_b1, marg.se_b0)],
         )
     else:
         table = sampler.events_table(result)
@@ -195,11 +195,9 @@ def _cmd_sample(args) -> int:
 
 def _cmd_chsh(args) -> int:
     est = sampler.estimate_chsh(angles=args.angles, n=args.n, seed=args.seed)
-    table = Table(
-        columns=("s_value", "std_error", "n_per_setting",
-                 "e_ab", "e_abp", "e_apb", "e_apbp"),
-        rows=[(est.s_value, est.std_error, est.n_per_setting or 0)
-              + est.correlations],
+    table = Table.from_rows(
+        ("s_value", "std_error", "n_per_setting", "e_ab", "e_abp", "e_apb", "e_apbp"),
+        [(est.s_value, est.std_error, est.n_per_setting or 0) + est.correlations],
     )
     return _emit(table, args)
 

@@ -193,7 +193,7 @@ class MarginalDistribution:
 
     def __post_init__(self) -> None:
         total = self.p_b1 + self.p_b0
-        if (bad := abs(total - 1.0) > NORM_TOL) is not False:
+        if (bad := (total != total) | (abs(total - 1.0) > NORM_TOL)) is not False:  # NaN
             _raise_where(bad, total, "marginal probabilities sum to {!r}, not 1")
 
     def as_tuple(self) -> tuple[float, float]:

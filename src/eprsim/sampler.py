@@ -139,8 +139,8 @@ def empirical_marginals(result: SampleResult) -> EmpiricalMarginal:
     n = len(result.codes)
     if n == 0:
         raise ValueError("empty event stream")
-    ones = frozenset(result.spec.bob_one_codes())
-    count_b1 = int(np.isin(result.codes, list(ones)).sum())
+    # count on the uint8 codes themselves, with no int64 copy of 2e7 events
+    count_b1 = sum(np.count_nonzero(result.codes == c) for c in result.spec.bob_one_codes())
     p1 = count_b1 / n
     se = math.sqrt(p1 * (1.0 - p1) / n)
     return EmpiricalMarginal(p_b1=p1, p_b0=1.0 - p1, se_b1=se, se_b0=se, n=n)
@@ -203,7 +203,7 @@ def estimate_chsh(
             if n <= 0:
                 raise ValueError(f"need a positive sample count, got {n}")
             codes = _sample_codes(dist.as_tuple(), n, (seed, idx))
-            same = np.isin(codes, (0, 3))
+            same = (codes == 0) | (codes == 3)
             e = float(same.mean() - (~same).mean())
             var = (1.0 - e * e) / n
         correlations.append(e)
@@ -220,15 +220,13 @@ def estimate_chsh(
 
 
 def events_table(result: SampleResult) -> "Table":
-    """Event stream as an emittable table."""
+    """Event stream as an emittable table: the index, the outcome label and the
+    three constant settings, one column each."""
     from .output import Table
 
-    labels = result.labels()
-    alpha, set_a, set_b = result.spec.settings()
-    rows = [
-        (i, labels[int(c)], alpha, set_a, set_b)
-        for i, c in enumerate(result.codes)
-    ]
+    n = len(result.codes)
     return Table(
-        columns=("index", "outcome", "alpha", "setting_a", "setting_b"), rows=rows
+        columns=("index", "outcome", "alpha", "setting_a", "setting_b"),
+        data=(np.arange(n), np.array(result.labels())[result.codes],
+              *(np.broadcast_to(value, n) for value in result.spec.settings())),
     )

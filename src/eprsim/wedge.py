@@ -352,29 +352,22 @@ def signal_difference_map(
     per-cell quadrature error estimates.  Cells whose quadrature raises
     are marked NaN instead of aborting the sweep.
     """
-    from .output import Table
+    from .output import grid_table
 
-    rows = []
-    for alpha in alpha_grid:
-        for phi_b in phi_b_grid:
+    def values(alpha):  # (diff_b1, diff_b0, err_b1, err_b0) over phi_b
+        cells = np.full((4, len(phi_b_grid)), math.nan)
+        for j, phi_b in enumerate(phi_b_grid):
             try:
                 q1, q0 = wedge_bob_singles(alpha, phi_a, phi_b, geom)
-                expected = expected_bob_marginals(alpha, phi_b)
-                row = (
-                    alpha,
-                    phi_b,
-                    q1.value - expected.p_b1,
-                    q0.value - expected.p_b0,
-                    q1.error_estimate,
-                    q0.error_estimate,
-                )
             except SamplingError:
-                row = (alpha, phi_b, math.nan, math.nan, math.nan, math.nan)
-            rows.append(row)
-    return Table(
-        columns=("alpha", "phi_b", "diff_b1", "diff_b0", "err_b1", "err_b0"),
-        rows=rows,
-    )
+                continue
+            expected = expected_bob_marginals(alpha, phi_b)
+            cells[:, j] = (q1.value - expected.p_b1, q0.value - expected.p_b0,
+                           q1.error_estimate, q0.error_estimate)
+        return cells
+
+    return grid_table(("alpha", "phi_b", "diff_b1", "diff_b0", "err_b1", "err_b0"),
+                      (alpha_grid, phi_b_grid), values)
 
 
 def wedge_profile_table(
@@ -386,17 +379,10 @@ def wedge_profile_table(
     f1, f2 = _propagated_fields(geom)
     p1 = joint_density_at_detector(alpha, phi_a, phi_b, "B1", geom)
     p0 = joint_density_at_detector(alpha, phi_a, phi_b, "B0", geom)
-    x = detector_grid(geom)
-    rows = [
-        (
-            float(x[i]),
-            float(abs(f1.field[i])),
-            float(abs(f2.field[i])),
-            float(p1[i]),
-            float(p0[i]),
-        )
-        for i in range(len(x))
-    ]
+    # |field| as hypot, which has the bits of abs() on each complex element
+    # (np.abs on a complex array differs from it in the last bit)
+    magnitudes = (np.hypot(f.field.real, f.field.imag) for f in (f1, f2))
     return Table(
-        columns=("x", "mag_a1", "mag_a2", "density_b1", "density_b0"), rows=rows
+        columns=("x", "mag_a1", "mag_a2", "density_b1", "density_b0"),
+        data=(detector_grid(geom), *magnitudes, p1, p0),
     )

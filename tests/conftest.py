@@ -5,6 +5,11 @@ acceptance report."""
 _ACCEPTANCE_LINES: list[str] = []
 
 
+def rows(table) -> list[tuple]:
+    """A table's rows as tuples of Python values, zipped from its columns."""
+    return list(zip(*(column.tolist() for column in table.data)))
+
+
 def record(line: str) -> None:
     """Queue a verdict line for the end-of-run acceptance section."""
     _ACCEPTANCE_LINES.append(line)

@@ -25,7 +25,7 @@ from eprsim.polarization import polar_joint_probabilities
 from eprsim.sampler import estimate_chsh
 from eprsim.wedge import WedgeGeometry, signal_difference_map
 
-from conftest import record
+from conftest import record, rows
 
 
 def _verdict(ok: bool) -> str:
@@ -167,7 +167,7 @@ def test_07_chsh_violation():
 
 
 def _max_abs_diff(table) -> float:
-    return max(max(abs(row[2]), abs(row[3])) for row in table.rows)
+    return max(max(abs(row[2]), abs(row[3])) for row in rows(table))
 
 
 def test_08_wedge_single_mode_limit():

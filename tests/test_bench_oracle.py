@@ -24,6 +24,8 @@ from eprsim import pathbench, polarization
 from eprsim.core import canonical_angle
 from eprsim.pathbench import AliceMode
 
+from conftest import rows
+
 SQRT2 = math.sqrt(2.0)
 RNG_ANGLES = np.random.default_rng(20261018).uniform(-10.0, 10.0, size=(600, 3))
 # multiples of pi/16 over [-pi, 3pi], and of pi/8 over [-pi, pi]
@@ -193,7 +195,7 @@ def test_bob_outcome_amplitudes_keep_alpha_as_given():
 def test_sweeps_equal_scalar_calls():
     alphas, phis = EIGHTHS[::3], SIXTEENTHS[::7]
     modes = list(AliceMode)
-    rows = pathbench.mz_sweep(alphas, phis, phis, modes).rows
+    mz = rows(pathbench.mz_sweep(alphas, phis, phis, modes))
     want = []
     for a in alphas:
         for pa in phis:
@@ -203,16 +205,16 @@ def test_sweeps_equal_scalar_calls():
                              else pathbench.mz_joint_probabilities(a, pa, pb, mode).as_tuple())
                     marg = pathbench.mz_bob_marginals(a, pa, pb, mode).as_tuple()
                     want.append((a, pa, pb, mode.value) + joint + marg)
-    assert len(rows) == len(want)
-    for got, expect in zip(rows, want):
+    assert len(mz) == len(want)
+    for got, expect in zip(mz, want):
         assert got[3] == expect[3]
         assert bits(got[:3] + got[4:]).tolist() == bits(expect[:3] + expect[4:]).tolist()
 
-    polar = polarization.polar_sweep(alphas, phis).rows
+    polar = rows(polarization.polar_sweep(alphas, phis))
     assert [bits(r).tolist() for r in polar] == [
         bits((a, t) + polarization.polar_joint_probabilities(a, t).as_tuple()).tolist()
         for a in alphas for t in phis]
-    marginal = pathbench.mz_marginal_sweep(alphas, phis).rows
+    marginal = rows(pathbench.mz_marginal_sweep(alphas, phis))
     assert [bits(r).tolist() for r in marginal] == [
         bits((a, pb) + pathbench.mz_bob_marginals(a, 0.0, pb).as_tuple()).tolist()
         for a in alphas for pb in phis]

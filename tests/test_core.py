@@ -131,6 +131,16 @@ class TestDistributionTypes:
         with pytest.raises(ValueError):
             MarginalDistribution(0.7, 0.7)
 
+    @pytest.mark.parametrize("p_b1", [math.nan, math.inf, -math.inf])
+    def test_marginal_rejects_non_finite_float(self, p_b1):
+        with pytest.raises(ValueError, match="marginal probabilities sum to"):
+            MarginalDistribution(p_b1, 0.5)
+
+    def test_marginal_rejects_nan_in_array(self):
+        with pytest.raises(ValueError, match="sum to nan"):
+            MarginalDistribution(np.array([0.5, math.nan, 0.25]), np.array([0.5, 0.5, 0.75]))
+        MarginalDistribution(np.array([0.5, 0.25]), np.array([0.5, 0.75]))
+
 
 class TestCanonicalAngle:
     def test_wraps_into_period(self):

@@ -3,23 +3,43 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from eprsim.output import Table, emit_table, render_csv, render_json
 
-SAMPLE = Table(
-    columns=("name", "count", "value"),
-    rows=[("a", 3, 1.0 / 3.0), ("b", -1, math.pi)],
+from conftest import rows
+
+SAMPLE = Table.from_rows(
+    ("name", "count", "value"),
+    [("a", 3, 1.0 / 3.0), ("b", -1, math.pi)],
 )
 
 
 class TestTable:
     def test_rejects_width_mismatch(self):
         with pytest.raises(ValueError, match="width"):
-            Table(columns=("x", "y"), rows=[(1.0,)])
+            Table.from_rows(("x", "y"), [(1.0,)])
+
+    def test_rejects_column_count_mismatch(self):
+        with pytest.raises(ValueError, match="width"):
+            Table(("x", "y"), (np.zeros(3),))
+
+    def test_rejects_unequal_lengths(self):
+        with pytest.raises(ValueError, match="length"):
+            Table(("x", "y"), (np.zeros(3), np.zeros(2)))
+
+    def test_rejects_two_dimensional_column(self):
+        with pytest.raises(ValueError, match="one-dimensional"):
+            Table(("x",), (np.zeros((2, 2)),))
 
     def test_empty_rows_allowed(self):
-        assert render_csv(Table(columns=("x",), rows=[])) == "x\n"
+        assert render_csv(Table.from_rows(("x",), [])) == "x\n"
+        assert len(Table(("x", "y"), (np.zeros(0), np.zeros(0)))) == 0
+
+    def test_columns_are_arrays(self):
+        assert [c.dtype.kind for c in SAMPLE.data] == ["U", "i", "f"]
+        assert rows(SAMPLE) == [("a", 3, 1.0 / 3.0), ("b", -1, math.pi)]
 
 
 class TestCsv:
@@ -36,7 +56,7 @@ class TestCsv:
         assert render_csv(SAMPLE).splitlines()[2].split(",")[1] == "-1"
 
     def test_nan_renders_as_nan(self):
-        row = render_csv(Table(columns=("v",), rows=[(math.nan,)])).splitlines()[1]
+        row = render_csv(Table.from_rows(("v",), [(math.nan,)])).splitlines()[1]
         assert row == "nan"
 
     def test_rendering_is_deterministic(self):
@@ -54,7 +74,7 @@ class TestJson:
         assert doc["rows"][1][2] == math.pi
 
     def test_nan_becomes_null(self):
-        doc = json.loads(render_json(Table(columns=("v",), rows=[(math.nan,)])))
+        doc = json.loads(render_json(Table.from_rows(("v",), [(math.nan,)])))
         assert doc["rows"][0][0] is None
 
 

@@ -18,6 +18,8 @@ from eprsim.pathbench import (
     uncorrected_mz_joint_probabilities,
 )
 
+from conftest import rows
+
 SQRT2 = math.sqrt(2.0)
 
 ALPHAS = [0.0, math.pi / 8, 0.4, math.pi / 4, 1.3]
@@ -220,7 +222,7 @@ class TestConfigAndSweeps:
         # row's marginals equal to the sums of its joint probabilities
         assert PathConfig(0.3, -1e-300, 0.5).phi_a == 0.0
         marg = mz_bob_marginals(0.3, -1e-300, 0.5)
-        (row,) = mz_sweep([0.3], [-1e-300], [0.5]).rows
+        (row,) = rows(mz_sweep([0.3], [-1e-300], [0.5]))
         assert row[8:] == marg.as_tuple()
         assert marg.p_b0 == row[5] + row[7]
 
@@ -230,15 +232,15 @@ class TestConfigAndSweeps:
             "alpha", "phi_a", "phi_b", "mode",
             "p_a1b1", "p_a1b0", "p_a0b1", "p_a0b0", "p_b1", "p_b0",
         )
-        assert len(table.rows) == 6
-        stop_rows = [r for r in table.rows if r[3] == "stop"]
+        assert len(rows(table)) == 6
+        stop_rows = [r for r in rows(table) if r[3] == "stop"]
         assert stop_rows and all(math.isnan(r[4]) for r in stop_rows)
 
     def test_marginal_sweep_schema(self):
         table = mz_marginal_sweep([0.0, 0.3], [0.0, 1.0, 2.0])
         assert table.columns == ("alpha", "phi_b", "p_b1", "p_b0")
-        assert len(table.rows) == 6
-        for alpha, phi_b, p_b1, p_b0 in table.rows:
+        assert len(rows(table)) == 6
+        for alpha, phi_b, p_b1, p_b0 in rows(table):
             want = expected_bob_marginals(alpha, phi_b)
             assert p_b1 == pytest.approx(want.p_b1, abs=1e-12)
             assert p_b0 == pytest.approx(want.p_b0, abs=1e-12)

@@ -12,6 +12,8 @@ from eprsim.polarization import (
     uncorrected_vh_amplitude,
 )
 
+from conftest import rows
+
 SQRT2 = math.sqrt(2.0)
 
 ALPHAS = [0.0, math.pi / 8, 0.3, math.pi / 4, 1.1, math.pi / 2]
@@ -122,8 +124,8 @@ class TestConfigAndSweep:
     def test_sweep_schema_and_content(self):
         table = polar_sweep([0.0, math.pi / 4], [0.0, math.pi / 2])
         assert table.columns == ("alpha", "theta", "p_hh", "p_hv", "p_vh", "p_vv")
-        assert len(table.rows) == 4
-        first = table.rows[0]
+        assert len(rows(table)) == 4
+        first = rows(table)[0]
         assert first[:2] == (0.0, 0.0)
         assert first[2:] == pytest.approx((0.0, 0.5, 0.5, 0.0), abs=1e-15)
 

@@ -17,6 +17,8 @@ from eprsim.sampler import (
     sample_outcome_codes,
 )
 
+from conftest import rows
+
 POLAR_SPEC = SamplerSpec(config=PolarizationConfig(0.0, math.pi / 8), n=10_000, seed=7)
 PATH_SPEC = SamplerSpec(
     config=PathConfig(0.0, math.pi / 3, math.pi / 5, AliceMode.SPLITTER_IN),
@@ -139,7 +141,7 @@ class TestSampledStatistics:
 class TestEventRecords:
     def test_events_carry_settings(self):
         spec = SamplerSpec(config=PATH_SPEC.config, n=5, seed=1)
-        events = events_table(sample_outcome_codes(spec)).rows
+        events = rows(events_table(sample_outcome_codes(spec)))
         assert len(events) == 5
         assert events[0] == (0, events[0][1], 0.0, math.pi / 3, math.pi / 5)
         assert [e[0] for e in events] == list(range(5))
@@ -148,8 +150,8 @@ class TestEventRecords:
     def test_events_table_schema(self):
         table = events_table(sample_outcome_codes(POLAR_SPEC))
         assert table.columns == ("index", "outcome", "alpha", "setting_a", "setting_b")
-        assert len(table.rows) == POLAR_SPEC.n
-        index, outcome, alpha, set_a, set_b = table.rows[0]
+        assert len(rows(table)) == POLAR_SPEC.n
+        index, outcome, alpha, set_a, set_b = rows(table)[0]
         assert (index, alpha, set_a, set_b) == (0, 0.0, math.pi / 8, 0.0)
         assert outcome in POLAR_SPEC.outcome_labels()
 

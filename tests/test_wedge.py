@@ -18,6 +18,8 @@ from eprsim.wedge import (
     wedge_profile_table,
 )
 
+from conftest import rows
+
 SIGMA = 3e-4
 
 # shared small geometries; repeated construction hits the propagation cache
@@ -309,13 +311,13 @@ class TestDifferenceMap:
         assert table.columns == (
             "alpha", "phi_b", "diff_b1", "diff_b0", "err_b1", "err_b0"
         )
-        assert len(table.rows) == 4
+        assert len(rows(table)) == 4
         loss = 2 * gaussian_tail(5.0)
-        for row in table.rows:
+        for row in rows(table):
             assert abs(row[2]) < 10 * loss
             assert abs(row[3]) < 10 * loss
 
     def test_profile_table_schema(self):
         table = wedge_profile_table(0.0, 0.0, 0.0, TRUNCATED)
         assert table.columns == ("x", "mag_a1", "mag_a2", "density_b1", "density_b0")
-        assert len(table.rows) == TRUNCATED.samples_detector
+        assert len(rows(table)) == TRUNCATED.samples_detector

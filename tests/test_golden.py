@@ -12,10 +12,20 @@ change updates them together with a note in CHANGES.md.
 Wedge, diffmap and the wedge audit run on the small ``SMALL_GEOM``
 geometry of ``test_config_cli.GEOM_FLAGS`` so the whole file takes
 seconds.
+
+``frozen_wedge_outputs.json`` holds the full stdout of the wedge-derived
+commands (the wedge point, diffmap and wedge audits, at generic settings
+too) as they printed before the wedge singles were rebuilt on the
+detector overlap integrals.  Their numbers may move by rounding only:
+every number must stay within ``FROZEN_ABS`` of the frozen one, and all
+text between the numbers must stay the same.
 """
 
 import hashlib
+import json
+import re
 import shlex
+from pathlib import Path
 
 import pytest
 
@@ -127,3 +137,19 @@ def run_digest(command: str, capsys) -> tuple[int, str]:
 @pytest.mark.parametrize("command", sorted(CASES))
 def test_output_digest(command, capsys):
     assert run_digest(command, capsys) == CASES[command]
+
+
+FROZEN = json.loads((Path(__file__).parent / "frozen_wedge_outputs.json").read_text())
+FROZEN_ABS = 1e-12
+_NUMBER = re.compile(r"([-+]?(?:\d+\.?\d*(?:e[-+]?\d+)?|nan|inf))")
+
+
+@pytest.mark.parametrize("command", sorted(FROZEN))
+def test_wedge_output_matches_frozen(command, capsys):
+    code, frozen = FROZEN[command]
+    assert main(shlex.split(command)) == code
+    got, want = (_NUMBER.split(text) for text in (capsys.readouterr().out, frozen))
+    assert len(got) == len(want)
+    assert got[::2] == want[::2]  # the text between the numbers
+    for g, w in zip(got[1::2], want[1::2]):
+        assert g == w or abs(float(g) - float(w)) <= FROZEN_ABS, (g, w)

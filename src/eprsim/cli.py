@@ -105,14 +105,14 @@ def audit_wedge(grid: int = 3, tolerance: float = 1e-4,
     geom = geometry if geometry is not None else WedgeGeometry()
     alphas, phis_b = _linspace(math.pi / 2, grid), _linspace(2 * math.pi, grid)
     phis_a = (0.0, math.pi / 2)
-    diff = np.empty((2, len(alphas), len(phis_b), len(phis_a)))
-    for i, alpha in enumerate(alphas):
-        for j, phi_b in enumerate(phis_b):
-            want = pathbench.expected_bob_marginals(alpha, phi_b)
-            for k, phi_a in enumerate(phis_a):
-                b1, b0 = wedge.wedge_bob_singles(alpha, phi_a, phi_b, geom)
-                diff[:, i, j, k] = (b1.value - want.p_b1, b0.value - want.p_b0)
-    return _audit("wedge", tolerance, (alphas, phis_b, phis_a), diff,
+    phi_a, phi_b = np.array(phis_a), np.array(phis_b)[:, None]
+
+    def diff(alpha):  # axes (phi_b, phi_a)
+        got, _ = wedge._bob_singles(alpha, phi_a, phi_b, geom)
+        return np.subtract(got, pathbench.expected_bob_marginals(alpha, phi_b).as_tuple())
+
+    return _audit("wedge", tolerance, (alphas, phis_b, phis_a),
+                  np.stack([diff(alpha) for alpha in alphas], axis=1),
                   lambda alpha, phi_b, phi_a: (alpha, phi_a, phi_b))
 
 
@@ -154,17 +154,12 @@ def _cmd_mz(args) -> int:
 
 
 def _cmd_wedge(args) -> int:
-    geom = make_geometry(args.geom)
+    geom, settings = make_geometry(args.geom), (args.alpha, args.phi_a, args.phi_b)
     if args.profile:
-        table = wedge.wedge_profile_table(args.alpha, args.phi_a, args.phi_b, geom)
-    else:
-        b1, b0 = wedge.wedge_bob_singles(args.alpha, args.phi_a, args.phi_b, geom)
-        table = Table.from_rows(
-            ("alpha", "phi_a", "phi_b", "p_b1", "p_b0", "err_b1", "err_b0"),
-            [(args.alpha, args.phi_a, args.phi_b,
-              b1.value, b0.value, b1.error_estimate, b0.error_estimate)],
-        )
-    return _emit(table, args)
+        return _emit(wedge.wedge_profile_table(*settings, geom), args)
+    singles, errors = wedge._bob_singles(*settings, geom)
+    return _emit(Table.from_rows(("alpha", "phi_a", "phi_b", "p_b1", "p_b0", "err_b1", "err_b0"),
+                                 [settings + singles + errors]), args)
 
 
 def _cmd_diffmap(args) -> int:

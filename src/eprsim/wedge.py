@@ -24,7 +24,8 @@ coherent sum over Alice's paths,
 
 with F_k the propagated fields and g_{kj} the per-path Bob-side amplitudes
 from the path bench.  The B1 and B0 densities are quantum-distinguishable
-and add incoherently.  Because the two aperture fields live on disjoint
+and add incoherently, and their phi_a terms (the "signal" and "anti-signal"
+fringes) cancel pointwise.  Because the two aperture fields live on disjoint
 supports, unitary propagation keeps them orthogonal over the full plane;
 integrating Bob's singles over the finite detector face therefore matches
 the closed-form marginals up to the truncation loss and edge diffraction,
@@ -39,8 +40,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import canonical_angle
-from .pathbench import bob_outcome_amplitudes, expected_bob_marginals
+from .core import _require_angle, array_namespace, canonical_angle
+from .output import Table, grid_table
+from .pathbench import AliceMode, _amplitudes, bob_outcome_amplitudes, expected_bob_marginals
 
 MIN_SAMPLES = 64
 MIN_APERTURE_SIGMAS = 5.0
@@ -89,10 +91,10 @@ class WedgeGeometry:
 
     def __post_init__(self) -> None:
         s = self.beam_sigma
-        if not (self.wavelength > 0 and s > 0):
-            raise ValueError("wavelength and beam_sigma must be positive")
-        if not self.propagation_distance >= 0:
-            raise ValueError("propagation_distance must be non-negative")
+        if not (0.0 < self.wavelength < math.inf and s > 0):
+            raise ValueError("wavelength must be positive and finite, beam_sigma positive")
+        if not 0.0 <= self.propagation_distance < math.inf:
+            raise ValueError("propagation_distance must be finite and non-negative")
         if self.aperture_halfwidth is None:
             object.__setattr__(self, "aperture_halfwidth", 10.0 * s)
         if self.aperture_halfwidth < MIN_APERTURE_SIGMAS * s:
@@ -109,14 +111,12 @@ class WedgeGeometry:
                 else 6.0 * s
             )
             object.__setattr__(self, "apex_offset", default_offset)
-        if not 0.0 < self.apex_offset < self.aperture_halfwidth:
+        if not 0.0 < self.apex_offset < self.aperture_halfwidth:  # so finite too
             raise ValueError("apex_offset must lie strictly inside the face")
-        if not math.isfinite(self.apex_offset):
-            raise ValueError("apex_offset must be finite")
         if self.detector_halfwidth is None:
             object.__setattr__(self, "detector_halfwidth", 12.0 * s)
-        if not self.detector_halfwidth > 0:
-            raise ValueError("detector_halfwidth must be positive")
+        if not 0.0 < self.detector_halfwidth < math.inf:
+            raise ValueError("detector_halfwidth must be positive and finite")
         if self.tilt_angle is None:
             z = self.propagation_distance
             object.__setattr__(self, "tilt_angle", self.apex_offset / z if z > 0 else 0.0)
@@ -163,7 +163,7 @@ class BeamProfile:
         return float(self.grid[1] - self.grid[0])
 
     def norm_sq(self) -> float:
-        return _simpson(np.abs(self.field) ** 2, self.spacing)
+        return float(_simpson(np.abs(self.field) ** 2, self.spacing))
 
 
 @dataclass(frozen=True)
@@ -172,14 +172,14 @@ class QuadratureResult:
 
     value: float
     error_estimate: float
-    samples: int
 
 
-def _simpson(y: np.ndarray, dx: float) -> float:
-    if len(y) % 2 == 0 or len(y) < 3:
+def _simpson(y: np.ndarray, dx: float):
+    """Composite Simpson along the last axis of ``y``."""
+    if y.shape[-1] % 2 == 0 or y.shape[-1] < 3:
         raise ValueError("Simpson rule needs an odd number of samples >= 3")
-    acc = y[0] + y[-1] + 4.0 * y[1:-1:2].sum() + 2.0 * y[2:-1:2].sum()
-    return float(acc * dx / 3.0)
+    acc = y[..., 0] + y[..., -1] + 4.0 * y[..., 1:-1:2].sum(-1) + 2.0 * y[..., 2:-1:2].sum(-1)
+    return acc * dx / 3.0
 
 
 def detector_grid(geom: WedgeGeometry) -> np.ndarray:
@@ -276,25 +276,32 @@ def _propagated_fields(geom: WedgeGeometry) -> tuple[BeamProfile, BeamProfile]:
     return f1, f2
 
 
-_BOB_OUTCOME_INDEX = {"B1": 0, "B0": 1, 1: 0, 0: 1}
-
-
-def joint_density_at_detector(
-    alpha: float, phi_a: float, phi_b: float, bob_outcome, geom: WedgeGeometry
-) -> np.ndarray:
-    """|A_j(x)|^2 on the detector grid for one Bob outcome.
-
-    Coherent over Alice's two paths, incoherent between Bob outcomes.
-    """
-    try:
-        j = _BOB_OUTCOME_INDEX[bob_outcome]
-    except (KeyError, TypeError):
-        raise ValueError(f"bob_outcome must be 'B1'/'B0' or 1/0, got {bob_outcome!r}")
-    phi_a = canonical_angle(phi_a, "phi_a")
+def joint_densities_at_detector(alpha: float, phi_a: float, phi_b: float,
+                                geom: WedgeGeometry) -> tuple[np.ndarray, np.ndarray]:
+    """(|A_B1(x)|^2, |A_B0(x)|^2) on the detector grid: coherent over Alice's
+    two paths, incoherent between Bob outcomes."""
+    phase = np.exp(1j * canonical_angle(phi_a, "phi_a"))
     g = bob_outcome_amplitudes(alpha, phi_b)
     f1, f2 = _propagated_fields(geom)
-    amp = np.exp(1j * phi_a) * f1.field * g[0][j] + f2.field * g[1][j]
-    return np.abs(amp) ** 2
+    return tuple(np.abs(phase * f1.field * g[0][j] + f2.field * g[1][j]) ** 2 for j in (0, 1))
+
+
+def _richardson(density: np.ndarray, geom: WedgeGeometry):
+    """(value, signed step) of ``integrate_detector`` along the last axis."""
+    x = detector_grid(geom)
+    if density.shape[-1] != len(x):
+        raise ValueError(f"density has {density.shape[-1]} samples, detector grid has {len(x)}")
+    dx = float(x[1] - x[0])
+    if geom.tilt_angle > 0.0:
+        period = geom.wavelength / (2.0 * geom.tilt_angle)
+        if dx > period / POINTS_PER_FRINGE:
+            needed = int(math.ceil(2.0 * geom.detector_halfwidth * POINTS_PER_FRINGE / period))
+            raise SamplingError(f"detector spacing {dx:.3e} m undersamples the "
+                                f"{period:.3e} m fringe period",
+                                required_samples=_round_up_4m1(needed + 1))
+    fine = _simpson(density, dx)
+    step = (fine - _simpson(density[..., ::2], 2.0 * dx)) / 15.0
+    return fine + step, step
 
 
 def integrate_detector(density: np.ndarray, geom: WedgeGeometry) -> QuadratureResult:
@@ -305,39 +312,42 @@ def integrate_detector(density: np.ndarray, geom: WedgeGeometry) -> QuadratureRe
     error estimate.  Requires >= 32 samples per fringe period (period
     lambda / (2 tilt) from the beam crossing angle).
     """
-    x = detector_grid(geom)
-    if len(density) != len(x):
-        raise ValueError(
-            f"density has {len(density)} samples, detector grid has {len(x)}"
-        )
-    dx = float(x[1] - x[0])
-    if geom.tilt_angle > 0.0:
-        period = geom.wavelength / (2.0 * geom.tilt_angle)
-        if dx > period / POINTS_PER_FRINGE:
-            needed = _round_up_4m1(
-                int(math.ceil(2.0 * geom.detector_halfwidth * POINTS_PER_FRINGE / period))
-                + 1
-            )
-            raise SamplingError(
-                f"detector spacing {dx:.3e} m undersamples the "
-                f"{period:.3e} m fringe period",
-                required_samples=needed,
-            )
-    fine = _simpson(density, dx)
-    coarse = _simpson(density[::2], 2.0 * dx)
-    step = (fine - coarse) / 15.0
-    return QuadratureResult(
-        value=fine + step, error_estimate=abs(step), samples=len(density)
-    )
+    value, step = _richardson(density, geom)
+    return QuadratureResult(value=float(value), error_estimate=abs(float(step)))
 
 
-def wedge_bob_singles(
-    alpha: float, phi_a: float, phi_b: float, geom: WedgeGeometry
-) -> tuple[QuadratureResult, QuadratureResult]:
+def _bob_singles(alpha: float, phi_a, phi_b, geom: WedgeGeometry):
+    """((P_B1, P_B0), (err_B1, err_B0)) at floats or arrays of phi_a and phi_b.
+
+    Simpson and its Richardson step are linear in the density, so P_Bj and
+    its step follow from those of N_k = int |F_k|^2 and O = int F_1 F_2*:
+    P_Bj = |g_1j|^2 N_1 + |g_2j|^2 N_2 + 2 Re(e^{i phi_a} g_1j g_2j* O).
+    Alice's phase reaches Bob only through O.  A float setting gives the
+    bits of a one-element array.
+    """
+    f1, f2 = (f.field for f in _propagated_fields(geom))
+    o = f1 * f2.conj()
+    integrals = _richardson(np.stack([np.abs(f1) ** 2, np.abs(f2) ** 2, o.real, o.imag]), geom)
+    phi_a = canonical_angle(phi_a, "phi_a")
+    xp = array_namespace(phi_a)
+    c, s = xp.cos(phi_a), xp.sin(phi_a)
+    g, _ = _amplitudes(_require_angle(alpha, "alpha"), 0.0, canonical_angle(phi_b, "phi_b"),
+                       AliceMode.BEAM_STOP)
+    singles = []
+    for (a_re, a_im), (b_re, b_im) in zip(*g):
+        p_re, p_im = a_re * b_re + a_im * b_im, a_im * b_re - a_re * b_im  # g_1j g_2j*
+        q_re, q_im = c * p_re - s * p_im, c * p_im + s * p_re  # times e^{i phi_a}
+        value, step = ((a_re * a_re + a_im * a_im) * n1 + (b_re * b_re + b_im * b_im) * n2
+                       + 2.0 * (q_re * o_re - q_im * o_im) for n1, n2, o_re, o_im in integrals)
+        singles.append((value, abs(step)))
+    return tuple(zip(*singles))
+
+
+def wedge_bob_singles(alpha: float, phi_a: float, phi_b: float,
+                      geom: WedgeGeometry) -> tuple[QuadratureResult, QuadratureResult]:
     """Integrated (P_B1, P_B0) over the detector face."""
-    p1 = joint_density_at_detector(alpha, phi_a, phi_b, "B1", geom)
-    p0 = joint_density_at_detector(alpha, phi_a, phi_b, "B0", geom)
-    return integrate_detector(p1, geom), integrate_detector(p0, geom)
+    values, errors = _bob_singles(alpha, phi_a, phi_b, geom)
+    return tuple(QuadratureResult(float(v), float(e)) for v, e in zip(values, errors))
 
 
 def signal_difference_map(
@@ -345,44 +355,36 @@ def signal_difference_map(
     phi_b_grid: list[float],
     phi_a: float,
     geom: WedgeGeometry,
-) -> "Table":
+) -> Table:
     """Wave-optics Bob singles minus the closed-form marginals.
 
     One row per (alpha, phi_b) cell with the two differences and the
-    per-cell quadrature error estimates.  Cells whose quadrature raises
-    are marked NaN instead of aborting the sweep.
+    per-cell quadrature error estimates.  A geometry whose propagation
+    or quadrature raises SamplingError gives a map of NaN cells.
     """
-    from .output import grid_table
+    axes, phi_b = (alpha_grid, phi_b_grid), np.asarray(phi_b_grid, dtype=float)
+    columns = ("alpha", "phi_b", "diff_b1", "diff_b0", "err_b1", "err_b0")
 
     def values(alpha):  # (diff_b1, diff_b0, err_b1, err_b0) over phi_b
-        cells = np.full((4, len(phi_b_grid)), math.nan)
-        for j, phi_b in enumerate(phi_b_grid):
-            try:
-                q1, q0 = wedge_bob_singles(alpha, phi_a, phi_b, geom)
-            except SamplingError:
-                continue
-            expected = expected_bob_marginals(alpha, phi_b)
-            cells[:, j] = (q1.value - expected.p_b1, q0.value - expected.p_b0,
-                           q1.error_estimate, q0.error_estimate)
-        return cells
+        singles, errors = _bob_singles(alpha, phi_a, phi_b, geom)
+        return (*np.subtract(singles, expected_bob_marginals(alpha, phi_b).as_tuple()), *errors)
 
-    return grid_table(("alpha", "phi_b", "diff_b1", "diff_b0", "err_b1", "err_b0"),
-                      (alpha_grid, phi_b_grid), values)
+    try:
+        return grid_table(columns, axes, values)
+    except SamplingError:
+        return grid_table(columns, axes, lambda alpha: [math.nan] * 4)
 
 
 def wedge_profile_table(
     alpha: float, phi_a: float, phi_b: float, geom: WedgeGeometry
-) -> "Table":
+) -> Table:
     """Per-position magnitudes and coincidence densities at the detector."""
-    from .output import Table
-
     f1, f2 = _propagated_fields(geom)
-    p1 = joint_density_at_detector(alpha, phi_a, phi_b, "B1", geom)
-    p0 = joint_density_at_detector(alpha, phi_a, phi_b, "B0", geom)
+    densities = joint_densities_at_detector(alpha, phi_a, phi_b, geom)
     # |field| as hypot, which has the bits of abs() on each complex element
     # (np.abs on a complex array differs from it in the last bit)
     magnitudes = (np.hypot(f.field.real, f.field.imag) for f in (f1, f2))
     return Table(
         columns=("x", "mag_a1", "mag_a2", "density_b1", "density_b0"),
-        data=(detector_grid(geom), *magnitudes, p1, p0),
+        data=(detector_grid(geom), *magnitudes, *densities),
     )

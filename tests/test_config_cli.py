@@ -529,6 +529,7 @@ class TestUsageErrors:
         (["mz", "--grid", "-2"], "grid"),
         (["sample", "--workers", "-3"], "workers"),
         (["audit", "--grid", "0"], "grid"),
+        (["wedge", "--geom", "propagation_distance=inf"], "propagation_distance"),
         ([], "command"),
     ])
     def test_exit_1_with_message(self, argv, named, capsys):
@@ -558,8 +559,8 @@ class TestAuditInputs:
         module, name = ((polarization, "polar_bob_marginals") if audit == "polar"
                         else (pathbench, "expected_bob_marginals"))
         real = getattr(module, name)
-        # polar and mz take one call per alpha on arrays, wedge one per (alpha, phi_b)
-        calls = {"polar": 3, "mz": 3, "wedge": 4}[audit]
+        # each audit takes one call per alpha on arrays
+        calls = {"polar": 3, "mz": 3, "wedge": 2}[audit]
         seen = []
 
         def with_nan(*args):

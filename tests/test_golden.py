@@ -18,7 +18,11 @@ commands (the wedge point, diffmap and wedge audits, at generic settings
 too) as they printed before the wedge singles were rebuilt on the
 detector overlap integrals.  Their numbers may move by rounding only:
 every number must stay within ``FROZEN_ABS`` of the frozen one, and all
-text between the numbers must stay the same.
+text between the numbers must stay the same.  An audit's worst point is
+not compared: the report names the last of equal maxima, and the wedge
+audit's cells come in sets equal in exact arithmetic, so which of them
+is largest is decided by the last bit.  The golden digests above pin the
+point for the golden audits.
 """
 
 import hashlib
@@ -68,16 +72,16 @@ TABLES = {
         (0, 'a26fe8d72d8a15c35da56e90b7eda66b34440c9b18778ce47f2e24e68bc40f26'),
     ),
     f"wedge --alpha pi/4 --phi-b pi/2 {SMALL_GEOM}": (
-        (0, '4591a5349d385e690d90e857a996ff05486c305364f06aec7b04b1ff34020685'),
-        (0, '5d36e8a3542724bc7d955c00a5a8e8ea6cd98eed995da806d6bb076eb7598d0c'),
+        (0, 'b251971afe1bd7eb22b14ead6b3ca1c6429d4d23f1e9c46b4371529cea2f5918'),
+        (0, 'f59b4be2094ddaadfebbc18d019979ae1184cc77c95b801bec4ee85efcd3078d'),
     ),
     f"wedge --alpha pi/4 --profile {SMALL_GEOM}": (
         (0, '0262eb0402f31eb6f870c6b760d702180b2c17d1bb59ac7436e971b27e675fe8'),
         (0, 'f72e20159453b664b9821adf2c7a6b878b31da0a5379b89e8411d4f2447e5666'),
     ),
     f"diffmap --grid 2 --phi-a pi/2 {SMALL_GEOM}": (
-        (0, 'b0dad79e035d2f9c861e4efdc753ed82f995270f7c3a40746d8affdb253e6ae1'),
-        (0, '49257416706804e842beb450417714b737f7fb6cf6c7f06f74e5775b21829c5b'),
+        (0, 'efda6b38d5aa8ec53fa18e18a8747bdf5d3ea7394d8ad562baacea0902da0cc8'),
+        (0, 'da57045a671c8174ad3d61305dda1c9bc07d5e3a982fd706232b6fee16f13d67'),
     ),
     "sample --bench polar --theta pi/8 --n 40 --seed 7": (
         (0, '333b4cce4ee001f0a04614cf9678860dd27487ab5935144c01710e5ba28c7c13'),
@@ -141,6 +145,7 @@ def test_output_digest(command, capsys):
 
 FROZEN = json.loads((Path(__file__).parent / "frozen_wedge_outputs.json").read_text())
 FROZEN_ABS = 1e-12
+_WORST_POINT = re.compile(r" at \([^)]*\)")
 _NUMBER = re.compile(r"([-+]?(?:\d+\.?\d*(?:e[-+]?\d+)?|nan|inf))")
 
 
@@ -148,7 +153,8 @@ _NUMBER = re.compile(r"([-+]?(?:\d+\.?\d*(?:e[-+]?\d+)?|nan|inf))")
 def test_wedge_output_matches_frozen(command, capsys):
     code, frozen = FROZEN[command]
     assert main(shlex.split(command)) == code
-    got, want = (_NUMBER.split(text) for text in (capsys.readouterr().out, frozen))
+    got, want = (_NUMBER.split(_WORST_POINT.sub(" at (...)", text))
+                 for text in (capsys.readouterr().out, frozen))
     assert len(got) == len(want)
     assert got[::2] == want[::2]  # the text between the numbers
     for g, w in zip(got[1::2], want[1::2]):

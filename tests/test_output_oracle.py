@@ -26,7 +26,7 @@ from eprsim.wedge import (
     SamplingError,
     WedgeGeometry,
     detector_grid,
-    joint_density_at_detector,
+    joint_densities_at_detector,
     signal_difference_map,
     wedge_bob_singles,
     wedge_profile_table,
@@ -112,8 +112,7 @@ class Frozen:
     @classmethod
     def wedge_profile_table(cls, alpha, phi_a, phi_b, geom):
         f1, f2 = wedge._propagated_fields(geom)
-        p1 = joint_density_at_detector(alpha, phi_a, phi_b, "B1", geom)
-        p0 = joint_density_at_detector(alpha, phi_a, phi_b, "B0", geom)
+        p1, p0 = joint_densities_at_detector(alpha, phi_a, phi_b, geom)
         x = detector_grid(geom)
         rows = [(float(x[i]), float(abs(f1.field[i])), float(abs(f2.field[i])),
                  float(p1[i]), float(p0[i])) for i in range(len(x))]
@@ -242,9 +241,13 @@ def test_difference_map():
                       Frozen.signal_difference_map(*axes, SMALL_GEOM))
 
 
-def test_difference_map_marks_failed_cells_nan():
+@pytest.mark.parametrize("coarse", [
     # 65 detector samples undersample the fringes of any tilted geometry
-    coarse = WedgeGeometry(beam_sigma=3e-4, samples_aperture=2049, samples_detector=65)
+    WedgeGeometry(beam_sigma=3e-4, samples_aperture=2049, samples_detector=65),
+    # 65 aperture samples exceed the propagation's Nyquist spacing
+    WedgeGeometry(samples_aperture=65),
+], ids=["detector", "aperture"])
+def test_difference_map_marks_failed_cells_nan(coarse):
     axes = ([0.0, math.pi / 4], [0.5], 0.0)
     table = signal_difference_map(*axes, coarse)
     assert np.isnan(table.data[2]).all()

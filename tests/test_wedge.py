@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -10,8 +11,10 @@ from eprsim.wedge import (
     WedgeGeometry,
     detector_grid,
     fresnel_propagate,
+    _bob_singles,
+    _propagated_fields,
     integrate_detector,
-    joint_density_at_detector,
+    joint_densities_at_detector,
     signal_difference_map,
     truncated_aperture_field,
     wedge_bob_singles,
@@ -75,6 +78,9 @@ class TestGeometry:
             dict(samples_aperture=10),
             dict(propagation_distance=-1.0),
             dict(tilt_angle=math.nan),
+            dict(wavelength=math.inf),
+            dict(propagation_distance=math.inf),
+            dict(detector_halfwidth=math.inf),
         ],
     )
     def test_rejects_bad_fields(self, bad):
@@ -210,7 +216,6 @@ class TestDetectorQuadrature:
         geom = WedgeGeometry(tilt_angle=0.0, **SMALL)
         result = integrate_detector(np.ones(geom.samples_detector), geom)
         assert result.value == pytest.approx(2 * geom.detector_halfwidth, rel=1e-12)
-        assert result.samples == geom.samples_detector
 
     def test_gaussian_density(self):
         geom = WedgeGeometry(tilt_angle=0.0, **SMALL)
@@ -235,8 +240,7 @@ class TestDetectorQuadrature:
 
 class TestJointDensities:
     def test_complementary_fringes_when_fully_entangled(self):
-        d1 = joint_density_at_detector(0.0, 0.0, 0.0, "B1", TRUNCATED)
-        d0 = joint_density_at_detector(0.0, 0.0, 0.0, "B0", TRUNCATED)
+        d1, d0 = joint_densities_at_detector(0.0, 0.0, 0.0, TRUNCATED)
         x = detector_grid(TRUNCATED)
         assert significant_maxima(d1) > 10
         assert significant_maxima(d0) > 10
@@ -253,29 +257,63 @@ class TestJointDensities:
     def test_outcome_fringes_cancel_in_the_sum(self):
         # the two patterns complement each other: their sum is just the
         # (truncation-rippled) beam intensities with no interference term
-        from eprsim.wedge import _propagated_fields
-
-        d1 = joint_density_at_detector(0.0, 1.234, 0.0, "B1", TRUNCATED)
-        d0 = joint_density_at_detector(0.0, 1.234, 0.0, "B0", TRUNCATED)
+        d1, d0 = joint_densities_at_detector(0.0, 1.234, 0.0, TRUNCATED)
         f1, f2 = _propagated_fields(TRUNCATED)
         envelope = (np.abs(f1.field) ** 2 + np.abs(f2.field) ** 2) / 2
         np.testing.assert_allclose(d1 + d0, envelope, atol=1e-9)
 
     def test_completeness(self):
-        d1 = joint_density_at_detector(0.3, 0.7, 1.1, "B1", TRUNCATED)
-        d0 = joint_density_at_detector(0.3, 0.7, 1.1, "B0", TRUNCATED)
+        d1, d0 = joint_densities_at_detector(0.3, 0.7, 1.1, TRUNCATED)
         total = integrate_detector(d1 + d0, TRUNCATED).value
         loss = 1.0 - truncated_aperture_field(TRUNCATED, path=1).norm_sq()
         assert total == pytest.approx(1.0 - loss, abs=1e-6)
 
-    def test_outcome_accepts_label_or_code(self):
-        by_label = joint_density_at_detector(0.2, 0.0, 0.5, "B1", TRUNCATED)
-        by_code = joint_density_at_detector(0.2, 0.0, 0.5, 1, TRUNCATED)
-        np.testing.assert_array_equal(by_label, by_code)
 
-    def test_unknown_outcome_rejected(self):
-        with pytest.raises(ValueError):
-            joint_density_at_detector(0.2, 0.0, 0.5, "B2", TRUNCATED)
+def integrated_densities(alpha, phi_a, phi_b, geom):
+    """Bob's singles the direct way: each outcome's density, integrated."""
+    return [integrate_detector(d, geom)
+            for d in joint_densities_at_detector(alpha, phi_a, phi_b, geom)]
+
+
+def overlap_modulus(geom):
+    """|O|, the integrated overlap F1 F2* of the two propagated beams."""
+    f1, f2 = (f.field for f in _propagated_fields(geom))
+    o = f1 * f2.conj()
+    return abs(complex(integrate_detector(o.real, geom).value,
+                       integrate_detector(o.imag, geom).value))
+
+
+@pytest.mark.parametrize("geom", [TRUNCATED, UNTRUNCATED], ids=["truncated", "untruncated"])
+class TestOverlapKernel:
+    ALPHAS = np.linspace(0.0, math.pi / 2, 7)
+    PHI_B = np.linspace(0.0, 2 * math.pi, 7)
+    PHI_A = np.array([0.0, 1.0, math.pi / 2])
+
+    def test_matches_integrated_densities(self, geom):
+        # the kernel combines four integrals where the densities integrate
+        # each cell's own sum, so the two differ by rounding only
+        for alpha in self.ALPHAS:
+            values, errors = _bob_singles(alpha, self.PHI_A, self.PHI_B[:, None], geom)
+            for (i, phi_b), (k, phi_a) in itertools.product(enumerate(self.PHI_B),
+                                                            enumerate(self.PHI_A)):
+                cell = integrated_densities(alpha, phi_a, phi_b, geom)
+                for j, q in enumerate(cell):
+                    assert abs(values[j][i, k] - q.value) < 2e-15
+                    assert abs(errors[j][i, k] - q.error_estimate) < 1e-16
+                # a float setting gives the bits of its array element
+                point = np.array(_bob_singles(alpha, phi_a, phi_b, geom))
+                element = np.array([[v[i, k] for v in part] for part in (values, errors)])
+                assert point.tobytes() == element.tobytes()
+
+    def test_alice_phase_reaches_bob_only_through_the_overlap(self, geom):
+        # P_Bj moves with phi_a by 2 Re(e^{i phi_a} g1j g2j* O) alone, and
+        # |g1j||g2j| <= 1/2, so over any phi_a grid it spans at most 2|O|
+        bound = 2 * overlap_modulus(geom) + 1e-15
+        phi_a = np.linspace(0.0, 2 * math.pi, 25)
+        for alpha, phi_b in itertools.product(self.ALPHAS, self.PHI_B):
+            for j in range(2):
+                singles = [integrated_densities(alpha, a, phi_b, geom)[j].value for a in phi_a]
+                assert max(singles) - min(singles) <= bound
 
 
 class TestIntegratedSingles:

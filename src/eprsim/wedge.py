@@ -111,7 +111,7 @@ class WedgeGeometry:
                 else 6.0 * s
             )
             object.__setattr__(self, "apex_offset", default_offset)
-        if not 0.0 < self.apex_offset < self.aperture_halfwidth:  # so finite too
+        if not 0.0 < self.apex_offset < self.aperture_halfwidth:  # rejects inf and NaN
             raise ValueError("apex_offset must lie strictly inside the face")
         if self.detector_halfwidth is None:
             object.__setattr__(self, "detector_halfwidth", 12.0 * s)

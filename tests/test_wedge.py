@@ -75,6 +75,7 @@ class TestGeometry:
             dict(aperture_halfwidth=4 * 1e-3),  # face must clear 5 sigma
             dict(apex_offset=2e-2),  # outside the face
             dict(apex_offset=0.0),
+            dict(aperture_halfwidth=math.inf, apex_offset=math.inf),
             dict(samples_aperture=10),
             dict(propagation_distance=-1.0),
             dict(tilt_angle=math.nan),

@@ -23,14 +23,22 @@ not compared: the report names the last of equal maxima, and the wedge
 audit's cells come in sets equal in exact arithmetic, so which of them
 is largest is decided by the last bit.  The golden digests above pin the
 point for the golden audits.
+
+``frozen_wedge_profiles.json.gz`` holds, in the same form, the stdout of
+the two ``wedge --profile`` golden commands, gzipped for their 8193
+rows.  Every profile magnitude and density must stay within
+``PROFILE_REL`` of its column's peak, and the columns and row count
+must stay the same.
 """
 
+import gzip
 import hashlib
 import json
 import re
 import shlex
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from eprsim.cli import main
@@ -143,7 +151,8 @@ def test_output_digest(command, capsys):
     assert run_digest(command, capsys) == CASES[command]
 
 
-FROZEN = json.loads((Path(__file__).parent / "frozen_wedge_outputs.json").read_text())
+HERE = Path(__file__).parent
+FROZEN = json.loads((HERE / "frozen_wedge_outputs.json").read_text())
 FROZEN_ABS = 1e-12
 _WORST_POINT = re.compile(r" at \([^)]*\)")
 _NUMBER = re.compile(r"([-+]?(?:\d+\.?\d*(?:e[-+]?\d+)?|nan|inf))")
@@ -159,3 +168,29 @@ def test_wedge_output_matches_frozen(command, capsys):
     assert got[::2] == want[::2]  # the text between the numbers
     for g, w in zip(got[1::2], want[1::2]):
         assert g == w or abs(float(g) - float(w)) <= FROZEN_ABS, (g, w)
+
+
+FROZEN_PROFILES = json.loads(gzip.decompress((HERE / "frozen_wedge_profiles.json.gz").read_bytes()))
+PROFILE_REL = 1e-11
+
+
+def profile_columns(text: str, fmt: str) -> tuple[list[str], np.ndarray]:
+    """(column names, rows x columns array) of a rendered profile table."""
+    if fmt == "json":
+        table = json.loads(text)
+        return table["columns"], np.array(table["rows"], dtype=float)
+    header, *lines = text.splitlines()
+    return header.split(","), np.array([line.split(",") for line in lines], dtype=float)
+
+
+@pytest.mark.parametrize("command", sorted(FROZEN_PROFILES))
+def test_wedge_profile_matches_frozen(command, capsys):
+    code, frozen = FROZEN_PROFILES[command]
+    assert main(shlex.split(command)) == code
+    fmt = shlex.split(command)[-1]
+    (got_columns, got), (want_columns, want) = (
+        profile_columns(text, fmt) for text in (capsys.readouterr().out, frozen))
+    assert got_columns == want_columns
+    assert got.shape == want.shape
+    worst = (np.abs(got - want) / np.abs(want).max(axis=0)).max(axis=0)
+    assert (worst <= PROFILE_REL).all(), dict(zip(want_columns, worst))

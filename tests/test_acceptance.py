@@ -241,3 +241,32 @@ def test_10_sampled_output_byte_determinism(tmp_path):
     )
     assert events_same
     assert chsh_same
+
+
+def test_11_wedge_residual_tracks_clipped_power():
+    # A mid-face beam loses erfc(h / (2 sigma sqrt 2)) of its power to the
+    # two edges of a face of width h; the residual map should follow it.
+    t0 = time.perf_counter()
+    sigma = 1e-3
+    mults = [(50 + i) / 10 for i in range(51)]  # 5.0 .. 10.0 sigma
+    worst, ratios = [], []
+    for mult in mults:
+        geom = WedgeGeometry(aperture_halfwidth=mult * sigma)
+        table = signal_difference_map(
+            _grid(math.pi / 2, 5), _grid(2.0 * math.pi, 5), math.pi / 2, geom
+        )
+        worst.append(_max_abs_diff(table))
+        ratios.append(worst[-1] / math.erfc(mult / (2.0 * math.sqrt(2.0))))
+    elapsed = time.perf_counter() - t0
+    in_band = all(1.0 <= r <= 1.05 for r in ratios)
+    monotone = all(a > b for a, b in zip(worst, worst[1:]))
+    ok = in_band and monotone and elapsed < 10.0
+    record(
+        f"[{_verdict(ok)}] 11 wedge residual vs clipped power: max |diff| / "
+        f"erfc(h/(2 sigma sqrt 2)) in [{min(ratios):.4f}, {max(ratios):.4f}] "
+        f"(band [1, 1.05]) over h = 5.0..10.0 sigma in 0.1 steps, strictly "
+        f"decreasing: {monotone}; {elapsed:.2f}s (budget 10s)"
+    )
+    assert in_band
+    assert monotone
+    assert elapsed < 10.0

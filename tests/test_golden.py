@@ -26,7 +26,8 @@ point for the golden audits.
 
 ``frozen_wedge_profiles.json.gz`` holds, in the same form, the stdout of
 the two ``wedge --profile`` golden commands, gzipped for their 8193
-rows.  Every profile magnitude and density must stay within
+rows, as they printed while Fresnel propagation was still the direct
+Huygens sum; the frozen outputs above also predate that change.  Every profile magnitude and density must stay within
 ``PROFILE_REL`` of its column's peak, and the columns and row count
 must stay the same.
 """
@@ -80,16 +81,16 @@ TABLES = {
         (0, 'a26fe8d72d8a15c35da56e90b7eda66b34440c9b18778ce47f2e24e68bc40f26'),
     ),
     f"wedge --alpha pi/4 --phi-b pi/2 {SMALL_GEOM}": (
-        (0, 'b251971afe1bd7eb22b14ead6b3ca1c6429d4d23f1e9c46b4371529cea2f5918'),
-        (0, 'f59b4be2094ddaadfebbc18d019979ae1184cc77c95b801bec4ee85efcd3078d'),
+        (0, 'bf4d0fe32c017dec2faaa4feebeb2e1ee14897dd6eaf9124e745a15647d5a027'),
+        (0, '0c9db878598959db92a361019f3a47335ab9e3b58d7d2c962f25e9ed68c49811'),
     ),
     f"wedge --alpha pi/4 --profile {SMALL_GEOM}": (
-        (0, '0262eb0402f31eb6f870c6b760d702180b2c17d1bb59ac7436e971b27e675fe8'),
-        (0, 'f72e20159453b664b9821adf2c7a6b878b31da0a5379b89e8411d4f2447e5666'),
+        (0, 'ff782c97db62e829f949cd3c7ca26b9cd7f75a72c0a9ffdb88e26a7671569f1b'),
+        (0, '0563ab06cb984ad32f28c0bf0c4f42f8a2dcda6ce5bd80ee25cbdfc8717d4a2b'),
     ),
     f"diffmap --grid 2 --phi-a pi/2 {SMALL_GEOM}": (
-        (0, 'efda6b38d5aa8ec53fa18e18a8747bdf5d3ea7394d8ad562baacea0902da0cc8'),
-        (0, 'da57045a671c8174ad3d61305dda1c9bc07d5e3a982fd706232b6fee16f13d67'),
+        (0, 'f015499d320c2d466cd0d3c178912d87a9e5fb9e4562481cb7acdde7fb43cd26'),
+        (0, '8eb761130f8240eb33df0299f4c361d3cea2fcec5493a2544d96ddef6a9d998a'),
     ),
     "sample --bench polar --theta pi/8 --n 40 --seed 7": (
         (0, '333b4cce4ee001f0a04614cf9678860dd27487ab5935144c01710e5ba28c7c13'),

@@ -181,7 +181,7 @@ def test_08_wedge_single_mode_limit():
     ok = worst < 1e-6 and elapsed < 120.0
     record(
         f"[{_verdict(ok)}] 08 wedge single-mode limit: max |integrated - closed "
-        f"form| = {worst:.3e} over a 20x20 grid in {elapsed:.1f}s "
+        f"form| = {worst:.3e} over a 20x20 grid in {elapsed:.2f}s "
         f"(tol 1e-6, budget 120s)"
     )
     assert worst < 1e-6
@@ -210,7 +210,7 @@ def test_09_wedge_truncation_bounds_residual():
     record(
         f"[{_verdict(ok)}] 09 wedge residual: default-aperture max |diff| = "
         f"{worst_default:.3e} in [1e-8, 1e-4]; decreasing with aperture "
-        f"5..10 sigma: {trend}; total {elapsed:.0f}s (budget 300s)"
+        f"5..10 sigma: {trend}; total {elapsed:.2f}s (budget 300s)"
     )
     assert in_window
     assert monotone

@@ -27,9 +27,9 @@ point for the golden audits.
 ``frozen_wedge_profiles.json.gz`` holds, in the same form, the stdout of
 the two ``wedge --profile`` golden commands, gzipped for their 8193
 rows, as they printed while Fresnel propagation was still the direct
-Huygens sum; the frozen outputs above also predate that change.  Every profile magnitude and density must stay within
-``PROFILE_REL`` of its column's peak, and the columns and row count
-must stay the same.
+Huygens sum (the frozen outputs above also predate that change).  Every
+profile magnitude and density must stay within ``PROFILE_REL`` of its
+column's peak, and the columns and row count must stay the same.
 """
 
 import gzip

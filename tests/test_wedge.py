@@ -245,8 +245,8 @@ def propagated_gaussian(geom, path, tilt):
         b * b / (4 * a) + c)
 
 
-# small grids keep the direct sum cheap; the last has more aperture than
-# detector samples, and the shorter distance a steeper chirp
+# small grids keep the direct sum cheap; "short-untilted" has the steepest
+# chirp, "more-aperture-samples" a convolution longer on the aperture side
 ORACLE_GEOMETRIES = {
     "truncated": WedgeGeometry(beam_sigma=SIGMA, samples_aperture=513, samples_detector=1025),
     "untruncated": WedgeGeometry(aperture_halfwidth=math.inf, beam_sigma=SIGMA,

@@ -129,10 +129,8 @@ def run_no_signal_audit(bench: str = "all", grid: int | None = None,
 
 
 def _emit(table: Table, args) -> int:
-    text = emit_table(table, fmt=args.format, path=args.out)
-    if args.out is None:
-        sys.stdout.write(text)
-    else:
+    emit_table(table, fmt=args.format, path=args.out)
+    if args.out is not None:
         sys.stderr.write(f"wrote {args.out}\n")
     return 0
 

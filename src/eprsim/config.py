@@ -29,13 +29,6 @@ _PI_LITERAL = re.compile(
     re.VERBOSE,
 )
 
-#: Wedge geometry field name -> the type its values are cast to.
-_GEOMETRY_TYPES = {
-    f.name: int if f.type in (int, "int") else float
-    for f in dataclasses.fields(WedgeGeometry)
-}
-
-
 class ConfigError(argparse.ArgumentTypeError, ValueError):
     """Flags or config text that cannot be turned into a runnable command.
 
@@ -58,9 +51,9 @@ def parse_angle(text: str | float, key: str = "angle") -> float:
                 raise ConfigError(f"{key}: division by zero in {text!r}")
             value /= den
         return -value if m.group("sign") == "-" else value
-    try:
-        return float(text)
-    except ValueError:
+    try:  # JSON true, null, a list or an object is no angle
+        return float(text if isinstance(text, str) else None)
+    except (TypeError, ValueError):
         raise ConfigError(
             f"{key}: cannot parse angle {text!r}; use a decimal or a "
             f"pi fraction like 'pi/4' or '3*pi/8'"
@@ -118,7 +111,9 @@ class Param:
                 raise ConfigError(f"{name}: expected true or false, got {raw!r}{where}")
             return text == "true"
         if self.kind == "text":
-            return str(raw)
+            if not isinstance(raw, str):
+                raise ConfigError(f"{name}: expected a string, got {raw!r}{where}")
+            return raw
         if self.kind == "choice":
             if raw not in self.choices:
                 raise ConfigError(
@@ -137,6 +132,11 @@ class Param:
         if self.minimum is not None and value < self.minimum:
             raise ConfigError(f"{name}: must be >= {self.minimum}, got {value}{where}")
         return value
+
+
+#: One Param per wedge geometry field: the sample counts are integers, the rest numbers.
+_GEOMETRY = {f.name: Param(f.name, "int" if f.type in (int, "int") else "float")
+             for f in dataclasses.fields(WedgeGeometry)}
 
 
 @dataclass(frozen=True)
@@ -159,17 +159,9 @@ def _command(bench: str) -> Command:
 
 
 def _coerce_geometry(key: str, raw, where: str = "") -> object:
-    if key not in _GEOMETRY_TYPES:
-        raise ConfigError(
-            f"unknown geometry field {key!r}; expected one of {sorted(_GEOMETRY_TYPES)}"
-        )
-    cast = _GEOMETRY_TYPES[key]
-    try:
-        return cast(raw)
-    except (TypeError, ValueError):
-        raise ConfigError(
-            f"geometry field {key}: expected a {cast.__name__}, got {raw!r}{where}"
-        ) from None
+    if key not in _GEOMETRY:
+        raise ConfigError(f"unknown geometry field {key!r}; expected one of {sorted(_GEOMETRY)}")
+    return _GEOMETRY[key].coerce(raw, where)
 
 
 def geometry_item(item: str) -> tuple[str, object]:
@@ -208,8 +200,8 @@ class RunConfig:
                 )
         if self.geometry and not command.geometry:
             raise ConfigError(f"bench {self.bench!r} takes no geometry fields")
-        for key, value in self.geometry.items():
-            _coerce_geometry(key, value)
+        object.__setattr__(self, "geometry", {key: _coerce_geometry(key, value)
+                                              for key, value in self.geometry.items()})
 
 
 def _assemble(entries: list[tuple[str, object, str | None]]) -> RunConfig:
@@ -223,7 +215,7 @@ def _assemble(entries: list[tuple[str, object, str | None]]) -> RunConfig:
         where = f" (line {line!r})" if line else ""
         if key == "bench":
             group, name = key, key
-        elif key.startswith("geometry.") or key in _GEOMETRY_TYPES:
+        elif key.startswith("geometry.") or key in _GEOMETRY:
             group, name = "geometry", key.removeprefix("geometry.")
         else:
             group, name = "parameters", key.removeprefix("parameters.")

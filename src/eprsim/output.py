@@ -3,13 +3,14 @@
 CSV uses '.' as the decimal separator and 17 significant digits for
 floats so round-tripping through text preserves the double exactly and
 repeated runs are byte-identical.  Tables are columnar: CSV is rendered
-column by column in blocks of rows, and a float column formats each
-distinct 64-bit pattern once.
+column by column in blocks of rows, each written out as it is rendered,
+and a float column formats each distinct 64-bit pattern once.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -80,9 +81,10 @@ def _texts(column: np.ndarray) -> list[str]:
     return cells if kind == "U" else list(map(str, cells))
 
 
-def render_csv(table: Table) -> str:
+def _csv_blocks(table: Table):
+    """The CSV header, then the text of each block of ``BLOCK_ROWS`` rows."""
     width = len(table.columns)
-    parts = [",".join(table.columns) + "\n"]
+    yield ",".join(table.columns) + "\n"
     for start in range(0, len(table), BLOCK_ROWS):
         block = [_texts(column[start:start + BLOCK_ROWS]) for column in table.data]
         rows = len(block[0])
@@ -91,8 +93,11 @@ def render_csv(table: Table) -> str:
         for j, texts in enumerate(block):
             cells[2 * j::2 * width] = texts
             cells[2 * j + 1::2 * width] = ["\n" if j == width - 1 else ","] * rows
-        parts.append("".join(cells))
-    return "".join(parts)
+        yield "".join(cells)
+
+
+def render_csv(table: Table) -> str:
+    return "".join(_csv_blocks(table))
 
 
 def render_json(table: Table) -> str:
@@ -111,14 +116,16 @@ def _json_values(column: np.ndarray) -> list:
     return column.tolist()
 
 
-def emit_table(table: Table, fmt: str = "csv", path: str | Path | None = None) -> str:
-    """Render a table and optionally write it; returns the rendered text."""
+def emit_table(table: Table, fmt: str = "csv", path: str | Path | None = None) -> None:
+    """Write a table to ``path``, or to stdout when it is None, one CSV block at a time."""
     if fmt == "csv":
-        text = render_csv(table)
+        blocks = _csv_blocks(table)
     elif fmt == "json":
-        text = render_json(table)
+        blocks = [render_json(table)]
     else:
         raise ValueError(f"unknown format {fmt!r}; expected 'csv' or 'json'")
-    if path is not None:
-        Path(path).write_text(text, encoding="utf-8")
-    return text
+    if path is None:
+        sys.stdout.writelines(blocks)
+    else:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.writelines(blocks)

@@ -191,6 +191,11 @@ class TestRunConfig:
     def test_default_geometry_builds(self):
         assert make_geometry(RunConfig(bench="wedge").geometry) == WedgeGeometry()
 
+    def test_geometry_values_are_stored_coerced(self):
+        cfg = RunConfig(bench="wedge", geometry={"beam_sigma": "3e-4"})
+        assert cfg.geometry == {"beam_sigma": 3e-4}
+        assert make_geometry(cfg.geometry).beam_sigma == 3e-4
+
     def test_bad_geometry_value_reported(self):
         cfg = RunConfig(bench="wedge", geometry={"beam_sigma": -1.0})
         with pytest.raises(ConfigError, match="bad geometry"):
@@ -429,6 +434,18 @@ class TestConfigKeys:
         assert parse_config('{"bench": "sample", "parameters": {"n": 1e6}}').parameters == {
             "n": 1000000}
 
+    @pytest.mark.parametrize("key, raw, expected", [
+        ("beam_sigma", "true", "a number"),
+        ("beam_sigma", '"wide"', "a number"),
+        ("samples_detector", "8193.7", "an integer"),
+        ("samples_aperture", "true", "an integer"),
+    ])
+    def test_json_geometry_values_follow_their_kind(self, key, raw, expected):
+        with pytest.raises(ConfigError, match=f"{key}: expected {expected}"):
+            parse_config('{"bench": "wedge", "geometry": {"%s": %s}}' % (key, raw))
+        assert parse_config('{"bench": "wedge", "geometry": {"%s": 2049.0}}' % key).geometry == {
+            key: 2049}
+
     def test_geometry_only_where_the_flag_exists(self):
         with pytest.raises(ConfigError, match="takes no geometry"):
             parse_config("bench=polar beam_sigma=3e-4")
@@ -520,6 +537,29 @@ class TestRunEqualsFlags:
         assert err.startswith("error: mode:")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("doc, key", [
+        ({"bench": "polar", "parameters": {"alpha": None}}, "alpha"),
+        ({"bench": "polar", "parameters": {"theta": [0.3]}}, "theta"),
+        ({"bench": "mz", "parameters": {"phi_a": {"pi": 1}}}, "phi_a"),
+        ({"bench": "mz", "parameters": {"phi_b": True}}, "phi_b"),
+        ({"bench": "chsh", "parameters": {"angles": [None, 0, 0, 0]}}, "angles"),
+        ({"bench": "polar", "parameters": {"out": None}}, "out"),
+        ({"bench": "polar", "parameters": {"out": 5}}, "out"),
+        ({"bench": "wedge", "geometry": {"beam_sigma": True}}, "beam_sigma"),
+        ({"bench": "wedge", "geometry": {"samples_detector": 8193.7}}, "samples_detector"),
+    ])
+    def test_bad_json_value_exits_1_naming_the_key(self, doc, key, tmp_path, monkeypatch,
+                                                   capsys):
+        monkeypatch.chdir(tmp_path)  # a stray output file would land here
+        config = tmp_path / "run.json"
+        doc = {**doc, "parameters": {"out": "t.csv", **doc.get("parameters", {})}}
+        config.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["run", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key}:")
+        assert "Traceback" not in err
+        assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
+
 
 class TestUsageErrors:
     @pytest.mark.parametrize("argv, named", [
@@ -530,6 +570,7 @@ class TestUsageErrors:
         (["sample", "--workers", "-3"], "workers"),
         (["audit", "--grid", "0"], "grid"),
         (["wedge", "--geom", "propagation_distance=inf"], "propagation_distance"),
+        (["wedge", "--geom", "samples_aperture=4097.5"], "samples_aperture"),
         ([], "command"),
     ])
     def test_exit_1_with_message(self, argv, named, capsys):

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from eprsim.output import Table, emit_table, render_csv, render_json
+from eprsim.output import BLOCK_ROWS, Table, emit_table, render_csv, render_json
 
 from conftest import rows
 
@@ -79,10 +79,23 @@ class TestJson:
 
 
 class TestEmit:
-    def test_writes_file_and_returns_text(self, tmp_path):
+    def test_writes_file(self, tmp_path):
         path = tmp_path / "t.csv"
-        text = emit_table(SAMPLE, fmt="csv", path=path)
-        assert path.read_text(encoding="utf-8") == text == render_csv(SAMPLE)
+        emit_table(SAMPLE, fmt="csv", path=path)
+        assert path.read_text(encoding="utf-8") == render_csv(SAMPLE)
+
+    @pytest.mark.parametrize("to_file", [True, False], ids=["file", "stdout"])
+    @pytest.mark.parametrize("fmt, render", [("csv", render_csv), ("json", render_json)])
+    def test_many_blocks_equal_the_rendered_text(self, fmt, render, to_file, tmp_path, capsys):
+        n = BLOCK_ROWS + 5
+        table = Table(("i", "x", "s"), (np.arange(n), np.arange(n) / 7, np.array(["a"] * n)))
+        path = tmp_path / "t.out" if to_file else None
+        emit_table(table, fmt=fmt, path=path)
+        out = capsys.readouterr().out
+        if to_file:
+            assert out == ""
+            out = path.read_text(encoding="utf-8")
+        assert out == render(table)
 
     def test_rejects_unknown_format(self):
         with pytest.raises(ValueError, match="format"):

@@ -8,7 +8,6 @@ non-coincident singles statistics.
 """
 
 from .core import (
-    Basis,
     JointDistribution,
     MarginalDistribution,
     TwoPhotonState,
@@ -51,7 +50,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AliceMode",
-    "Basis",
     "ChshEstimate",
     "JointDistribution",
     "MarginalDistribution",

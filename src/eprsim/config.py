@@ -92,33 +92,28 @@ class Param:
     minimum: int | None = None
     flag: str | None = None
 
-    def coerce(self, raw, where: str = "") -> object:
+    def coerce(self, raw) -> object:
         """The typed value of a flag or config value; errors name the key."""
         name = self.name
         if self.kind == "angle":
-            try:
-                return parse_angle(raw, name)
-            except ConfigError as exc:
-                raise ConfigError(f"{exc}{where}") from None
+            return parse_angle(raw, name)
         if self.kind == "angles":
             parts = raw if isinstance(raw, (list, tuple)) else str(raw).split(",")
             if len(parts) != 4:
-                raise ConfigError(f"{name}: expected 4 comma-separated values{where}")
+                raise ConfigError(f"{name}: expected 4 comma-separated values")
             return tuple(parse_angle(p, name) for p in parts)
         if self.kind == "flag":
             text = str(raw).lower()
             if text not in ("true", "false"):
-                raise ConfigError(f"{name}: expected true or false, got {raw!r}{where}")
+                raise ConfigError(f"{name}: expected true or false, got {raw!r}")
             return text == "true"
         if self.kind == "text":
             if not isinstance(raw, str):
-                raise ConfigError(f"{name}: expected a string, got {raw!r}{where}")
+                raise ConfigError(f"{name}: expected a string, got {raw!r}")
             return raw
         if self.kind == "choice":
             if raw not in self.choices:
-                raise ConfigError(
-                    f"{name}: expected one of {list(self.choices)}, got {raw!r}{where}"
-                )
+                raise ConfigError(f"{name}: expected one of {list(self.choices)}, got {raw!r}")
             return raw
         cast = int if self.kind == "int" else float
         try:
@@ -128,9 +123,9 @@ class Param:
             value = cast(raw)
         except (TypeError, ValueError):
             expected = "an integer" if cast is int else "a number"
-            raise ConfigError(f"{name}: expected {expected}, got {raw!r}{where}") from None
+            raise ConfigError(f"{name}: expected {expected}, got {raw!r}") from None
         if self.minimum is not None and value < self.minimum:
-            raise ConfigError(f"{name}: must be >= {self.minimum}, got {value}{where}")
+            raise ConfigError(f"{name}: must be >= {self.minimum}, got {value}")
         return value
 
 
@@ -158,10 +153,23 @@ def _command(bench: str) -> Command:
     return COMMANDS[bench]
 
 
-def _coerce_geometry(key: str, raw, where: str = "") -> object:
+def _coerce_geometry(key: str, raw) -> object:
     if key not in _GEOMETRY:
         raise ConfigError(f"unknown geometry field {key!r}; expected one of {sorted(_GEOMETRY)}")
-    return _GEOMETRY[key].coerce(raw, where)
+    return _GEOMETRY[key].coerce(raw)
+
+
+def _coerce_key(bench: str, command: Command, group: str, name: str, raw) -> object:
+    """One value of a ``parameters`` or ``geometry`` key of ``bench``, checked and coerced."""
+    if group == "geometry":
+        if not command.geometry:
+            raise ConfigError(f"bench {bench!r} takes no geometry fields")
+        return _coerce_geometry(name, raw)
+    for param in command.params:
+        if param.name == name:
+            return param.coerce(raw)
+    raise ConfigError(f"unknown parameter {name!r} for bench {bench!r}; "
+                      f"expected one of {sorted(p.name for p in command.params)}")
 
 
 def geometry_item(item: str) -> tuple[str, object]:
@@ -191,42 +199,36 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         command = _command(self.bench)
-        allowed = {p.name for p in command.params}
-        for key in self.parameters:
-            if key not in allowed:
-                raise ConfigError(
-                    f"unknown parameter {key!r} for bench {self.bench!r}; "
-                    f"expected one of {sorted(allowed)}"
-                )
-        if self.geometry and not command.geometry:
-            raise ConfigError(f"bench {self.bench!r} takes no geometry fields")
-        object.__setattr__(self, "geometry", {key: _coerce_geometry(key, value)
-                                              for key, value in self.geometry.items()})
+        for group in ("parameters", "geometry"):
+            object.__setattr__(self, group, {
+                key: _coerce_key(self.bench, command, group, key, raw)
+                for key, raw in getattr(self, group).items()})
 
 
 def _assemble(entries: list[tuple[str, object, str | None]]) -> RunConfig:
     bench = next((str(raw) for key, raw, _ in entries if key == "bench"), None)
     if bench is None:
         raise ConfigError("missing required key 'bench'")
-    params = {p.name: p for p in _command(bench).params}
+    command = _command(bench)
     fields: dict = {"parameters": {}, "geometry": {}}
     seen: set[tuple[str, str]] = set()
     for key, raw, line in entries:
-        where = f" (line {line!r})" if line else ""
         if key == "bench":
             group, name = key, key
         elif key.startswith("geometry.") or key in _GEOMETRY:
             group, name = "geometry", key.removeprefix("geometry.")
         else:
             group, name = "parameters", key.removeprefix("parameters.")
-        if (group, name) in seen:
-            raise ConfigError(f"duplicate key {key!r}{where}")
-        seen.add((group, name))
-        if group == "geometry":
-            fields["geometry"][name] = _coerce_geometry(name, raw, where)
-        elif group == "parameters":
-            param = params.get(name)  # RunConfig names an unknown key
-            fields["parameters"][name] = param.coerce(raw, where) if param else raw
+        try:
+            if (group, name) in seen:
+                raise ConfigError(f"duplicate key {key!r}")
+            seen.add((group, name))
+            if group != "bench":
+                fields[group][name] = _coerce_key(bench, command, group, name, raw)
+        except ConfigError as exc:
+            if not line:
+                raise
+            raise ConfigError(f"{exc} (line {line!r})") from None
     return RunConfig(bench=bench, **fields)
 
 

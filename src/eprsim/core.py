@@ -21,7 +21,6 @@ amplitude functions, which hold complex numbers as (real, imaginary) pairs.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -41,13 +40,6 @@ class UnitarityError(ValueError):
             f"amplitudes square-sum to 1 {deficit:+.3e}; "
             f"exceeds tolerance {AMP_INPUT_TOL:g}"
         )
-
-
-class Basis(enum.Enum):
-    """Which physical pair of modes the state coefficients refer to."""
-
-    POLARIZATION = "polarization"  # (H, V) per photon
-    PATH = "path"                  # (path 1, path 2) per photon
 
 
 def _require_angle(value: float, name: str) -> float:
@@ -114,7 +106,6 @@ class TwoPhotonState:
     c12: complex
     c21: complex
     c22: complex
-    basis: Basis = Basis.POLARIZATION
 
     def __post_init__(self) -> None:
         if abs(self.norm_sq() - 1.0) > NORM_TOL:
@@ -127,7 +118,7 @@ class TwoPhotonState:
         return sum(abs(c) ** 2 for c in self.coefficients())
 
 
-def make_source_state(alpha: float, basis: Basis = Basis.POLARIZATION) -> TwoPhotonState:
+def make_source_state(alpha: float) -> TwoPhotonState:
     """Source state at mixing angle alpha.
 
     alpha = 0 gives the singlet-like state i(|12> - |21>)/sqrt(2); alpha =
@@ -140,7 +131,6 @@ def make_source_state(alpha: float, basis: Basis = Basis.POLARIZATION) -> TwoPho
         c12=complex(0.0, anti),
         c21=complex(0.0, -anti),
         c22=complex(corr, 0.0),
-        basis=basis,
     )
 
 

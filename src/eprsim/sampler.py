@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .output import Table
 from .pathbench import (
     BOB_OUTCOMES,
     PATH_OUTCOMES,
@@ -58,11 +59,6 @@ class SamplerSpec:
         if c.mode is AliceMode.BEAM_STOP:
             return mz_bob_marginals(c.alpha, c.phi_a, c.phi_b, c.mode).as_tuple()
         return mz_joint_probabilities(c.alpha, c.phi_a, c.phi_b, c.mode).as_tuple()
-
-    def bob_one_codes(self) -> frozenset[int]:
-        # Bob's "upper" outcome is H on the polar bench, B1 elsewhere
-        labels = self.outcome_labels()
-        return frozenset(i for i, lab in enumerate(labels) if lab.endswith(("H", "B1")))
 
     def settings(self) -> tuple[float, float, float]:
         """(alpha, setting_a, setting_b) for event metadata."""
@@ -139,8 +135,9 @@ def empirical_marginals(result: SampleResult) -> EmpiricalMarginal:
     n = len(result.codes)
     if n == 0:
         raise ValueError("empty event stream")
-    # count on the uint8 codes themselves, with no int64 copy of 2e7 events
-    count_b1 = sum(np.count_nonzero(result.codes == c) for c in result.spec.bob_one_codes())
+    # Bob's outcome is the low bit of every bench's code (0 for his upper one, as
+    # in JointDistribution); count on the uint8 codes, with no int64 copy of 2e7 events
+    count_b1 = n - np.count_nonzero(result.codes & 1)
     p1 = count_b1 / n
     se = math.sqrt(p1 * (1.0 - p1) / n)
     return EmpiricalMarginal(p_b1=p1, p_b0=1.0 - p1, se_b1=se, se_b0=se, n=n)
@@ -162,31 +159,24 @@ class ChshEstimate:
     std_error: float
     correlations: tuple[float, float, float, float]
     n_per_setting: int | None
-    angles: tuple[float, float, float, float]
 
 
 def estimate_chsh(
     angles: tuple[float, float, float, float] = (0.0, math.pi / 8, math.pi / 4, 3 * math.pi / 8),
     n: int | None = None,
     seed: int = 0,
-    alpha: float = 0.0,
 ) -> ChshEstimate:
     """CHSH statistic S for analyzer angles (a, b, a', b').
 
     S = |E(a,b) - E(a,b') + E(a',b) + E(a',b')| with E the +/-1 outcome
     correlation.  n = None evaluates the analytic n -> infinity limit;
     otherwise n pairs are sampled per setting with chunk-deterministic
-    seeds.  Only alpha = 0 is supported: away from the maximally
+    seeds.  The source is fixed at alpha = 0: away from the maximally
     entangled point the correlation is no longer a function of the
     relative analyzer angle alone, and this estimator would be wrong.
     """
     if len(angles) != 4:
         raise ValueError("angles must be (a, b, a_prime, b_prime)")
-    if alpha % (2.0 * math.pi) != 0.0:
-        raise ValueError(
-            "unsupported configuration: CHSH estimation is only valid at "
-            "alpha = 0 (maximally entangled source)"
-        )
     a, b, ap, bp = angles
     pairs = ((a, b), (a, bp), (ap, b), (ap, bp))
     correlations = []
@@ -215,15 +205,12 @@ def estimate_chsh(
         std_error=math.sqrt(sum(variances)),
         correlations=tuple(correlations),
         n_per_setting=n,
-        angles=tuple(float(x) for x in angles),
     )
 
 
-def events_table(result: SampleResult) -> "Table":
+def events_table(result: SampleResult) -> Table:
     """Event stream as an emittable table: the index, the outcome label and the
     three constant settings, one column each."""
-    from .output import Table
-
     n = len(result.codes)
     return Table(
         columns=("index", "outcome", "alpha", "setting_a", "setting_b"),

@@ -118,6 +118,16 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=r"theta.*line.*2"):
             parse_config("bench=polar\ntheta=huh\n")
 
+    @pytest.mark.parametrize("text, line", [
+        ("bench=chsh\nangles=0,0,0,x\n", "2: angles=0,0,0,x"),
+        ("bench=polar\nbogus=1\n", "2: bogus=1"),
+        ("bench=polar beam_sigma=1", "1: beam_sigma=1"),
+        ("bench=wedge\ngeometry.sigma=1\n", "2: geometry.sigma=1"),
+    ], ids=["angles-element", "unknown-parameter", "geometry-without-geom", "unknown-geometry"])
+    def test_every_error_names_its_line(self, text, line):
+        with pytest.raises(ConfigError, match=re.escape(f"(line {line!r})") + "$"):
+            parse_config(text)
+
     def test_missing_bench_rejected(self):
         with pytest.raises(ConfigError, match="bench"):
             parse_config("alpha=0\n")
@@ -195,6 +205,13 @@ class TestRunConfig:
         cfg = RunConfig(bench="wedge", geometry={"beam_sigma": "3e-4"})
         assert cfg.geometry == {"beam_sigma": 3e-4}
         assert make_geometry(cfg.geometry).beam_sigma == 3e-4
+
+    def test_parameter_values_are_stored_coerced(self):
+        cfg = RunConfig(bench="polar", parameters={"alpha": "pi/4", "grid": "3"})
+        assert cfg.parameters == {"alpha": math.pi / 4, "grid": 3}
+        assert "alpha=pi/4\n" in serialize_config(cfg)
+        with pytest.raises(ConfigError, match="grid: must be >= 0"):
+            RunConfig(bench="polar", parameters={"grid": -3})
 
     def test_bad_geometry_value_reported(self):
         cfg = RunConfig(bench="wedge", geometry={"beam_sigma": -1.0})

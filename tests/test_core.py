@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
+import eprsim
 from eprsim.core import (
-    Basis,
     JointDistribution,
     MarginalDistribution,
     TwoPhotonState,
@@ -27,7 +27,7 @@ def brute_force_concurrence(state: TwoPhotonState) -> float:
 class TestSourceState:
     def test_fully_entangled_coefficients(self):
         # alpha=0 collapses to i(|12> - |21>)/sqrt(2)
-        s = make_source_state(0.0, Basis.POLARIZATION)
+        s = make_source_state(0.0)
         assert s.c11 == pytest.approx(0.0, abs=1e-15)
         assert s.c12 == pytest.approx(1j / SQRT2, abs=1e-15)
         assert s.c21 == pytest.approx(-1j / SQRT2, abs=1e-15)
@@ -35,7 +35,7 @@ class TestSourceState:
 
     def test_product_state_coefficients(self):
         # alpha=pi/4 gives the separable (1, i, -i, 1)/2
-        s = make_source_state(math.pi / 4, Basis.POLARIZATION)
+        s = make_source_state(math.pi / 4)
         assert s.c11 == pytest.approx(0.5, abs=1e-15)
         assert s.c12 == pytest.approx(0.5j, abs=1e-15)
         assert s.c21 == pytest.approx(-0.5j, abs=1e-15)
@@ -44,22 +44,18 @@ class TestSourceState:
 
     @pytest.mark.parametrize("alpha", [0.0, 0.3, math.pi / 8, 1.2, math.pi / 2])
     def test_normalized_for_any_alpha(self, alpha):
-        s = make_source_state(alpha, Basis.PATH)
+        s = make_source_state(alpha)
         assert s.norm_sq() == pytest.approx(1.0, abs=1e-12)
-
-    @pytest.mark.parametrize("basis", [Basis.POLARIZATION, Basis.PATH])
-    def test_basis_tag_carried(self, basis):
-        assert make_source_state(0.1, basis).basis is basis
 
     def test_rejects_non_finite_alpha(self):
         with pytest.raises(ValueError):
-            make_source_state(math.nan, Basis.PATH)
+            make_source_state(math.nan)
         with pytest.raises(ValueError):
-            make_source_state(math.inf, Basis.PATH)
+            make_source_state(math.inf)
 
     def test_state_validates_norm(self):
         with pytest.raises(ValueError):
-            TwoPhotonState(0.9, 0.0, 0.0, 0.0, Basis.PATH)
+            TwoPhotonState(0.9, 0.0, 0.0, 0.0)
 
 
 class TestEntanglementDegree:
@@ -74,7 +70,7 @@ class TestEntanglementDegree:
     def test_matches_cos_2alpha_and_brute_force(self, alpha):
         got = entanglement_degree(alpha)
         assert got == pytest.approx(abs(math.cos(2 * alpha)), abs=1e-12)
-        s = make_source_state(alpha, Basis.POLARIZATION)
+        s = make_source_state(alpha)
         assert got == pytest.approx(brute_force_concurrence(s), abs=1e-12)
 
 
@@ -164,3 +160,8 @@ class TestCanonicalAngle:
     def test_arrays_match_floats(self):
         values = [-20.0, -0.25, 0.0, 1.0, 2 * math.pi, 7.5, 1e300]
         assert canonical_angle(np.array(values)).tolist() == [canonical_angle(v) for v in values]
+
+
+def test_exports_resolve_once():
+    assert len(set(eprsim.__all__)) == len(eprsim.__all__)
+    assert [name for name in eprsim.__all__ if not hasattr(eprsim, name)] == []

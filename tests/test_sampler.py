@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from eprsim.pathbench import AliceMode, PathConfig
-from eprsim.polarization import PolarizationConfig, polar_joint_probabilities
+from eprsim.pathbench import BOB_OUTCOMES, PATH_OUTCOMES, AliceMode, PathConfig
+from eprsim.polarization import POLAR_OUTCOMES, PolarizationConfig, polar_joint_probabilities
 from eprsim.sampler import (
     CHUNK_EVENTS,
     SamplerSpec,
@@ -129,6 +129,27 @@ class TestSampledStatistics:
         assert abs(marg.p_b1 - 0.5) < 5 * marg.se_b1
         assert marg.n == spec.n
 
+    # the oracle: Bob's upper outcome is the label ending in H (polar) or B1
+    BOB_UPPER = ("H", "B1")
+
+    @pytest.mark.parametrize("labels", [POLAR_OUTCOMES, PATH_OUTCOMES, BOB_OUTCOMES])
+    def test_bob_upper_outcome_is_an_even_code(self, labels):
+        for code, label in enumerate(labels):
+            assert label.endswith(self.BOB_UPPER) == (code % 2 == 0), label
+
+    @pytest.mark.parametrize("config", [
+        PolarizationConfig(math.pi / 8, 0.3),
+        PathConfig(math.pi / 8, 0.4, 1.1, AliceMode.SPLITTER_IN),
+        PathConfig(math.pi / 8, 0.0, 1.1, AliceMode.BEAM_STOP),
+    ], ids=["polar", "mz", "stop"])
+    def test_marginals_count_bobs_labels(self, config):
+        result = sample_outcome_codes(SamplerSpec(config=config, n=10_000, seed=9))
+        labels = np.array(result.labels())[result.codes].tolist()
+        count_b1 = sum(label.endswith(self.BOB_UPPER) for label in labels)
+        marg = empirical_marginals(result)
+        assert 0 < count_b1 < 10_000
+        assert (marg.p_b1, marg.p_b0, marg.n) == (count_b1 / 10_000, 1 - count_b1 / 10_000, 10_000)
+
     def test_empty_stream_has_no_marginals(self):
         spec = SamplerSpec(config=POLAR_SPEC.config, n=0, seed=0)
         result = sample_outcome_codes(spec)
@@ -186,10 +207,6 @@ class TestChshEstimate:
             est.correlations, ((a, b), (a, bp), (ap, b), (ap, bp))
         ):
             assert e == pytest.approx(-math.cos(2.0 * (ta - tb)), abs=1e-12)
-
-    def test_rejects_partial_entanglement(self):
-        with pytest.raises(ValueError, match="unsupported configuration"):
-            estimate_chsh(self.STANDARD, n=None, alpha=math.pi / 8)
 
     def test_rejects_wrong_angle_count(self):
         with pytest.raises(ValueError, match="a_prime"):

@@ -5,7 +5,9 @@ One subcommand per bench plus ``sample`` (event streams), ``chsh``
 ``audit`` (no-signaling sweep with a pass/fail exit code), and ``run``
 (any of the above, driven by a config file).  ``COMMANDS`` declares each
 subcommand's handler and parameters once; the parser, config-file
-validation and ``run`` are all built from it.
+validation and ``run`` are all built from it.  A handler returns what it
+computed, a ``Table`` or the audit's reports, and writes nothing;
+``main`` alone writes it and picks the exit code.
 
 Exit codes: 0 success, 1 usage or config error, 2 audit found a
 deviation above tolerance.
@@ -128,42 +130,34 @@ def run_no_signal_audit(bench: str = "all", grid: int | None = None,
     return [audit(**given) for name, audit in audits.items() if bench in (name, "all")]
 
 
-def _emit(table: Table, args) -> int:
-    emit_table(table, fmt=args.format, path=args.out)
-    if args.out is not None:
-        sys.stderr.write(f"wrote {args.out}\n")
-    return 0
-
-
-def _cmd_polar(args) -> int:
+def _cmd_polar(args) -> Table:
     axes = ((_linspace(math.pi / 2, args.grid), _linspace(math.pi, args.grid)) if args.grid
             else ([args.alpha], [args.theta]))
-    return _emit(polarization.polar_sweep(*axes), args)
+    return polarization.polar_sweep(*axes)
 
 
-def _cmd_mz(args) -> int:
+def _cmd_mz(args) -> Table:
     if args.marginals and not args.grid:
         raise ConfigError("mz --marginals needs --grid N with N >= 1")
     alphas, phis = _linspace(math.pi / 2, args.grid), _linspace(2 * math.pi, args.grid)
     if args.marginals:
-        return _emit(pathbench.mz_marginal_sweep(alphas, phis), args)
+        return pathbench.mz_marginal_sweep(alphas, phis)
     axes = (alphas, phis, phis) if args.grid else ([args.alpha], [args.phi_a], [args.phi_b])
-    return _emit(pathbench.mz_sweep(*axes, (AliceMode(args.mode),)), args)
+    return pathbench.mz_sweep(*axes, (AliceMode(args.mode),))
 
 
-def _cmd_wedge(args) -> int:
+def _cmd_wedge(args) -> Table:
     geom, settings = make_geometry(args.geom), (args.alpha, args.phi_a, args.phi_b)
     if args.profile:
-        return _emit(wedge.wedge_profile_table(*settings, geom), args)
+        return wedge.wedge_profile_table(*settings, geom)
     singles, errors = wedge._bob_singles(*settings, geom)
-    return _emit(Table.from_rows(("alpha", "phi_a", "phi_b", "p_b1", "p_b0", "err_b1", "err_b0"),
-                                 [settings + singles + errors]), args)
+    return Table.from_rows(("alpha", "phi_a", "phi_b", "p_b1", "p_b0", "err_b1", "err_b0"),
+                           [settings + singles + errors])
 
 
-def _cmd_diffmap(args) -> int:
+def _cmd_diffmap(args) -> Table:
     grid = (_linspace(math.pi / 2, args.grid), _linspace(2 * math.pi, args.grid))
-    table = wedge.signal_difference_map(*grid, args.phi_a, make_geometry(args.geom))
-    return _emit(table, args)
+    return wedge.signal_difference_map(*grid, args.phi_a, make_geometry(args.geom))
 
 
 def _sampler_config(args):
@@ -172,43 +166,28 @@ def _sampler_config(args):
     return pathbench.PathConfig(args.alpha, args.phi_a, args.phi_b, AliceMode(args.mode))
 
 
-def _cmd_sample(args) -> int:
+def _cmd_sample(args) -> Table:
     spec = sampler.SamplerSpec(_sampler_config(args), n=args.n, seed=args.seed)
     result = sampler.sample_outcome_codes(spec, workers=args.workers)
     if args.summary:
         marg = sampler.empirical_marginals(result)
-        table = Table.from_rows(
+        return Table.from_rows(
             ("n", "p_b1", "p_b0", "se_b1", "se_b0"),
             [(marg.n, marg.p_b1, marg.p_b0, marg.se_b1, marg.se_b0)],
         )
-    else:
-        table = sampler.events_table(result)
-    return _emit(table, args)
+    return sampler.events_table(result)
 
 
-def _cmd_chsh(args) -> int:
+def _cmd_chsh(args) -> Table:
     est = sampler.estimate_chsh(angles=args.angles, n=args.n, seed=args.seed)
-    table = Table.from_rows(
+    return Table.from_rows(
         ("s_value", "std_error", "n_per_setting", "e_ab", "e_abp", "e_apb", "e_apbp"),
         [(est.s_value, est.std_error, est.n_per_setting or 0) + est.correlations],
     )
-    return _emit(table, args)
 
 
-def _cmd_audit(args) -> int:
-    reports = run_no_signal_audit(args.bench, args.grid, args.tolerance,
-                                  make_geometry(args.geom))
-    for report in reports:
-        sys.stdout.write(report.line() + "\n")
-    return 0 if all(r.passed for r in reports) else 2
-
-
-def _cmd_run(args) -> int:
-    with open(args.config, "r", encoding="utf-8") as fh:
-        cfg = parse_config(fh.read())
-    ns = args.parser.parse_args([cfg.bench])  # the subcommand with its flag defaults
-    vars(ns).update(cfg.parameters, geom=list(cfg.geometry.items()))
-    return ns.handler(ns)
+def _cmd_audit(args) -> list[NoSignalReport]:
+    return run_no_signal_audit(args.bench, args.grid, args.tolerance, make_geometry(args.geom))
 
 
 def _angle(name: str, default: str = "0") -> Param:
@@ -307,14 +286,27 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="execute a config file")
     p.add_argument("--config", required=True)
-    p.set_defaults(handler=_cmd_run, parser=parser)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
-        return args.handler(args)
+        parser = build_parser()
+        args = parser.parse_args(argv)
+        if args.command == "run":  # the subcommand the file names, with its flag defaults
+            with open(args.config, "r", encoding="utf-8") as fh:
+                cfg = parse_config(fh.read())
+            args = parser.parse_args([cfg.bench])
+            vars(args).update(cfg.parameters, geom=list(cfg.geometry.items()))
+        result = args.handler(args)
+        if isinstance(result, Table):
+            emit_table(result, fmt=args.format, path=args.out)
+            if args.out is not None:
+                sys.stderr.write(f"wrote {args.out}\n")
+            return 0
+        for report in result:
+            sys.stdout.write(report.line() + "\n")
+        return 0 if all(report.passed for report in result) else 2
     except (ValueError, OSError) as exc:  # ConfigError and SamplingError included
         sys.stderr.write(f"error: {exc}\n")
         return 1

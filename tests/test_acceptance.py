@@ -98,14 +98,14 @@ def test_04_path_no_signal():
     t0 = time.perf_counter()
     report = audit_mz(grid=50, tolerance=1e-12)
     elapsed = time.perf_counter() - t0
-    ok = report.passed and elapsed < 10.0
+    ok = report.passed and elapsed < 1.0
     record(
         f"[{_verdict(ok)}] 04 path no-signal: max deviation from "
         f"[1 +/- sin(2a) sin(phi_b)]/2 = {report.max_deviation:.3e} over "
-        f"{report.configurations} settings in {elapsed:.1f}s (tol 1e-12, budget 10s)"
+        f"{report.configurations} settings in {elapsed:.1f}s (tol 1e-12, budget 1s)"
     )
     assert report.passed
-    assert elapsed < 10.0
+    assert elapsed < 1.0
 
 
 def test_05_path_singles_visibility():
@@ -178,14 +178,14 @@ def test_08_wedge_single_mode_limit():
     )
     elapsed = time.perf_counter() - t0
     worst = _max_abs_diff(table)
-    ok = worst < 1e-6 and elapsed < 120.0
+    ok = worst < 1e-6 and elapsed < 2.0
     record(
         f"[{_verdict(ok)}] 08 wedge single-mode limit: max |integrated - closed "
         f"form| = {worst:.3e} over a 20x20 grid in {elapsed:.2f}s "
-        f"(tol 1e-6, budget 120s)"
+        f"(tol 1e-6, budget 2s)"
     )
     assert worst < 1e-6
-    assert elapsed < 120.0
+    assert elapsed < 2.0
 
 
 def test_09_wedge_truncation_bounds_residual():
@@ -205,16 +205,16 @@ def test_09_wedge_truncation_bounds_residual():
     elapsed = time.perf_counter() - t0
     in_window = 1e-8 <= worst_default <= 1e-4
     monotone = all(a > b for a, b in zip(sweep, sweep[1:]))
-    ok = in_window and monotone and elapsed < 300.0
+    ok = in_window and monotone and elapsed < 5.0
     trend = " > ".join(f"{v:.2e}" for v in sweep)
     record(
         f"[{_verdict(ok)}] 09 wedge residual: default-aperture max |diff| = "
         f"{worst_default:.3e} in [1e-8, 1e-4]; decreasing with aperture "
-        f"5..10 sigma: {trend}; total {elapsed:.2f}s (budget 300s)"
+        f"5..10 sigma: {trend}; total {elapsed:.2f}s (budget 5s)"
     )
     assert in_window
     assert monotone
-    assert elapsed < 300.0
+    assert elapsed < 5.0
 
 
 def test_10_sampled_output_byte_determinism(tmp_path):

@@ -13,6 +13,7 @@ import pytest
 from eprsim import pathbench, polarization
 from eprsim.cli import (
     COMMANDS,
+    NoSignalReport,
     _audit,
     audit_mz,
     audit_polar,
@@ -30,6 +31,7 @@ from eprsim.config import (
     parse_config,
     serialize_config,
 )
+from eprsim.output import Table
 from eprsim.wedge import WedgeGeometry
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -547,6 +549,18 @@ class TestRunEqualsFlags:
         assert {case.split("-")[0] for case in RUN_CASES} == set(COMMANDS)
 
     @pytest.mark.parametrize("form", [0, 1], ids=["key=value", "json"])
+    def test_out_writes_the_same_file(self, form, tmp_path, capsys):
+        out = tmp_path / "t.json"
+        flags, keys = RUN_CASES["polar-point-json"]
+        assert main(["polar", *flags, "--out", str(out)]) == 0
+        want = out.read_bytes(), capsys.readouterr()
+        assert want[1] == ("", f"wrote {out}\n")
+        out.unlink()
+        config = _config_files(tmp_path, "polar", {**keys, "out": str(out)})[form]
+        assert main(["run", "--config", str(config)]) == 0
+        assert (out.read_bytes(), capsys.readouterr()) == want
+
+    @pytest.mark.parametrize("form", [0, 1], ids=["key=value", "json"])
     def test_bad_choice_exits_1_naming_the_key(self, form, tmp_path, capsys):
         config = _config_files(tmp_path, "mz", {"mode": "foo"})[form]
         assert main(["run", "--config", str(config)]) == 1
@@ -576,6 +590,20 @@ class TestRunEqualsFlags:
         assert err.startswith(f"error: {key}:")
         assert "Traceback" not in err
         assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
+
+
+class TestHandlers:
+    @pytest.mark.parametrize("case", sorted(RUN_CASES))
+    def test_return_what_they_computed_and_write_nothing(self, case, capsys):
+        bench = case.split("-")[0]
+        args = build_parser().parse_args([bench] + RUN_CASES[case][0])
+        result = args.handler(args)
+        if bench == "audit":
+            assert isinstance(result, list) and result
+            assert all(isinstance(r, NoSignalReport) for r in result)
+        else:
+            assert isinstance(result, Table)
+        assert capsys.readouterr().out == ""
 
 
 class TestUsageErrors:

@@ -338,6 +338,21 @@ class TestJointDensities:
         envelope = (np.abs(f1.field) ** 2 + np.abs(f2.field) ** 2) / 2
         np.testing.assert_allclose(d1 + d0, envelope, atol=1e-9)
 
+    def test_sum_ignores_phi_b_at_every_alpha(self):
+        # away from alpha = 0 the sum keeps Alice's own phi_a fringe, but
+        # nothing Bob sets reaches it
+        geom = WedgeGeometry()
+        for alpha, phi_a in itertools.product((0.0, math.pi / 8, math.pi / 4, 0.3),
+                                              (0.0, math.pi / 2, 1.234)):
+            sums = [sum(joint_densities_at_detector(alpha, phi_a, phi_b, geom))
+                    for phi_b in (0.0, 1.0, 2.5, 5.0)]
+            peak = max(s.max() for s in sums)
+            for s in sums[1:]:
+                assert np.max(np.abs(s - sums[0])) <= 1e-12 * peak
+        fringe = [sum(joint_densities_at_detector(math.pi / 8, phi_a, 0.0, geom))
+                  for phi_a in (0.0, math.pi / 2)]
+        assert np.max(np.abs(fringe[1] - fringe[0])) > 0.5 * max(f.max() for f in fringe)
+
     def test_completeness(self):
         d1, d0 = joint_densities_at_detector(0.3, 0.7, 1.1, TRUNCATED)
         total = integrate_detector(d1 + d0, TRUNCATED).value

@@ -5,7 +5,10 @@ the SHA-256 of everything it wrote to stdout, and its exit code, with
 the values recorded here.  The digests pin every subcommand in every
 output mode (point, ``--grid``, ``--marginals``, ``--profile``, sample
 events and ``--summary``, chsh analytic and sampled, audit lines), each
-table in both ``--format csv`` and ``--format json``.  A refactor of
+table in both ``--format csv`` and ``--format json``.  ``STREAMS``, the
+``--workers 1`` and ``3`` summaries and ``chsh --n 200000`` draw more than
+one sampler chunk, so they pin the chunk seeding and the draw across chunk
+boundaries (event streams in CSV only).  A refactor of
 the front end must leave all of them unchanged; a deliberate output
 change updates them together with a note in CHANGES.md.
 
@@ -43,8 +46,10 @@ import numpy as np
 import pytest
 
 from eprsim.cli import main
+from eprsim.sampler import CHUNK_EVENTS
 
 SMALL_GEOM = "--geom beam_sigma=3e-4 --geom samples_aperture=2049 --geom samples_detector=8193"
+MULTI_CHUNK = 3 * CHUNK_EVENTS + 17  # four sampler chunks, the last one partial
 
 # command -> ((exit code, sha256 of stdout) with --format csv, the same with --format json)
 TABLES = {
@@ -124,6 +129,33 @@ TABLES = {
         (0, '045968e4fe7fdaa953cd78a8ed20417ef36d6d1524ce00bdedd37452b9b8f685'),
         (0, '635399d9b24782dce03da7c315434b48f55134fcb0ffed5ead00163cc742a006'),
     ),
+    f"sample --bench mz --alpha pi/8 --phi-a pi/3 --phi-b pi/5 --bs-a in --n {MULTI_CHUNK} --seed 5 --summary --workers 1": (
+        (0, '4dc72613cdf2b26f5437dfc7b9edd3d85bda3f4dc111c944a644bba5eb7b56d5'),
+        (0, '20410ae08f08940d674416801871a556212dd4e3919b120122e947a8f7f5d76a'),
+    ),
+    f"sample --bench mz --alpha pi/8 --phi-a pi/3 --phi-b pi/5 --bs-a in --n {MULTI_CHUNK} --seed 5 --summary --workers 3": (
+        (0, '4dc72613cdf2b26f5437dfc7b9edd3d85bda3f4dc111c944a644bba5eb7b56d5'),
+        (0, '20410ae08f08940d674416801871a556212dd4e3919b120122e947a8f7f5d76a'),
+    ),
+    "chsh --n 200000 --seed 9": (
+        (0, '6b6940cef716e4aaba8627142ea492e7b938147c853b5e7626c15e1c6e29c0b0'),
+        (0, '62adcff39d3e1fd198be7f3b4691ac4904bc59b544f83ed74ad560499d65eab1'),
+    ),
+}
+
+# multi-chunk event streams, CSV only: the JSON digests above already pin how a
+# stream's rows are rendered, and 196,625 JSON rows would take seconds
+STREAMS = {
+    f"sample --bench polar --n {MULTI_CHUNK} --seed 10 --format csv": (
+        0, '36caf9e3426bd37323548771331b28143a7409fb695da08fe1b958e8de39f712'),
+    f"sample --bench polar --alpha pi/8 --theta pi/5 --n {MULTI_CHUNK} --seed 11 --format csv": (
+        0, 'b3e5bac009bbc4c6130fc8796587986292e4117e4e630c5b9350db414ebbccca'),
+    f"sample --bench mz --alpha pi/8 --phi-a pi/3 --phi-b pi/5 --bs-a in --n {MULTI_CHUNK} --seed 12 --format csv": (
+        0, '3cfe1fe60bc95a0de27a1b626d5f1115b46d1f5cf84535ef86f38e829eecab70'),
+    f"sample --bench mz --alpha pi/4 --phi-a pi/6 --phi-b pi/2 --bs-a out --n {MULTI_CHUNK} --seed 13 --format csv": (
+        0, '25bdb8a20f051fcbe5000059e821817ef8f4228c3b78e1b8f7c8965540dcb199'),
+    f"sample --bench mz --alpha pi/8 --phi-b pi/3 --bs-a stop --n {MULTI_CHUNK} --seed 14 --format csv": (
+        0, '3bef450f85c4d99abac9560543e3b1c52f026f132f9aef4bcabe2ef0eca25f00'),
 }
 
 # audit prints report lines only; exit code 2 marks a failed audit
@@ -139,6 +171,7 @@ CASES = {
     **{f"{cmd} --format {fmt}": want
        for cmd, pair in TABLES.items() for fmt, want in zip(("csv", "json"), pair)},
     **AUDITS,
+    **STREAMS,
 }
 
 

@@ -4,7 +4,9 @@ Events are drawn chunk by chunk with a counter-based seed derivation:
 chunk i of a run seeded with s uses the entropy tuple (s, i), and chunk
 boundaries are fixed by the event count alone.  Worker threads only change
 who computes a chunk, never what it contains, so a given (spec, seed)
-produces an identical outcome stream for any worker count.
+produces an identical outcome stream for any worker count.  An event's
+code is the number of cumulative-probability edges, the last one left out,
+at or below its uniform draw u.
 """
 
 from __future__ import annotations
@@ -78,16 +80,16 @@ class SampleResult:
         return self.spec.outcome_labels()
 
 
-def _chunk_codes(
-    cumulative: np.ndarray, count: int, entropy: tuple[int, ...]
-) -> np.ndarray:
-    rng = np.random.default_rng(np.random.SeedSequence(entropy))
-    u = rng.random(count)
-    # inverse-CDF draw; clip guards the half-open edge when the
-    # cumulative sum rounds just below 1
-    return np.minimum(
-        np.searchsorted(cumulative, u, side="right"), len(cumulative) - 1
-    ).astype(np.uint8)
+def _chunk_codes(cumulative: np.ndarray, count: int, entropy: tuple[int, ...]) -> np.ndarray:
+    u = np.random.default_rng(np.random.SeedSequence(entropy)).random(count)
+    # inverse-CDF draw: count the edges at or below u, all but the last.  No probability
+    # is negative, so the edges never decrease and the count is searchsorted(side="right")
+    # clipped to the last code: a zero-probability outcome is skipped, and a u above a sum
+    # that rounds below 1 still gets the last code
+    codes = np.zeros(count, np.uint8)
+    for edge in cumulative[:-1]:
+        codes += u >= edge
+    return codes
 
 
 def _sample_codes(

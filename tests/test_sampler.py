@@ -4,12 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eprsim.pathbench import BOB_OUTCOMES, PATH_OUTCOMES, AliceMode, PathConfig
 from eprsim.polarization import POLAR_OUTCOMES, PolarizationConfig, polar_joint_probabilities
 from eprsim.sampler import (
     CHUNK_EVENTS,
     SamplerSpec,
+    _chunk_codes,
     empirical_joint,
     empirical_marginals,
     estimate_chsh,
@@ -215,3 +218,62 @@ class TestChshEstimate:
     def test_rejects_nonpositive_sample_count(self):
         with pytest.raises(ValueError, match="positive sample count"):
             estimate_chsh(self.STANDARD, n=0)
+
+
+def searchsorted_codes(cumulative: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The oracle: the draw as a binary search for u, clipped to the last code."""
+    return np.minimum(
+        np.searchsorted(cumulative, u, side="right"), len(cumulative) - 1
+    ).astype(np.uint8)
+
+
+@st.composite
+def distributions(draw) -> tuple[float, ...]:
+    """Probability tuples of 2 or 4 outcomes: exact zeros, one outcome at 1, and
+    sums a few ulps below 1 among them."""
+    weights = draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-6, 1.0)),
+                            min_size=2, max_size=4).filter(lambda w: len(w) != 3))
+    if not any(weights):
+        weights[draw(st.integers(0, len(weights) - 1))] = 1.0
+    total = math.fsum(weights)
+    p = [w / total for w in weights]
+    largest = p.index(max(p))
+    p[largest] -= draw(st.integers(0, 4)) * 2.0 ** -53
+    return tuple(p)
+
+
+class TestDraw:
+    def check(self, probabilities, count: int, entropy: tuple[int, ...]):
+        """_chunk_codes against the oracle on the same draws; returns (codes, u)."""
+        cumulative = np.cumsum(probabilities)
+        codes = _chunk_codes(cumulative, count, entropy)
+        u = np.random.default_rng(np.random.SeedSequence(entropy)).random(count)
+        assert codes.dtype == np.uint8
+        assert codes.tobytes() == searchsorted_codes(cumulative, u).tobytes()
+        assert (codes < len(probabilities)).all()
+        # a zero-probability outcome never appears; the last code takes every u
+        # above the sum, so it is exempt only when the sum falls short of 1
+        last = len(probabilities) - 1
+        for k, p in enumerate(probabilities):
+            if p == 0.0 and (k < last or cumulative[-1] >= 1.0):
+                assert k not in codes, (k, probabilities)
+        return codes, u
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(distributions(), st.integers(0, 5000), st.integers(0, 2**32))
+    def test_matches_binary_search(self, probabilities, count, seed):
+        self.check(probabilities, count, (seed, 0))
+
+    @pytest.mark.parametrize("probabilities", [
+        (1.0, 0.0), (0.0, 1.0), (0.0, 0.0, 0.0, 1.0), (1.0, 0.0, 0.0, 0.0), (0.0, 1.0, 0.0, 0.0),
+    ])
+    def test_single_outcome_is_constant(self, probabilities):
+        codes, _ = self.check(probabilities, CHUNK_EVENTS, (3, 1))
+        assert (codes == probabilities.index(1.0)).all()
+
+    def test_u_above_the_sum_gets_the_last_code(self):
+        # a sum well below 1 puts half of the draws in the clipped range [sum, 1)
+        codes, u = self.check((0.2, 0.3), CHUNK_EVENTS, (5, 2))
+        above = u >= 0.5
+        assert 0.45 < above.mean() < 0.55
+        assert (codes[above] == 1).all()

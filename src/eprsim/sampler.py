@@ -12,6 +12,7 @@ at or below its uniform draw u.
 from __future__ import annotations
 
 import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -31,6 +32,11 @@ from .polarization import POLAR_OUTCOMES, PolarizationConfig, polar_joint_probab
 CHUNK_EVENTS = 65536
 
 
+def _check_integer(name: str, value: object) -> None:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SamplerSpec:
     """What to sample: a bench configuration, an event count, and a seed."""
@@ -42,6 +48,8 @@ class SamplerSpec:
     def __post_init__(self) -> None:
         if not isinstance(self.config, (PolarizationConfig, PathConfig)):
             raise ValueError(f"config must be a bench config, got {self.config!r}")
+        _check_integer("n", self.n)
+        _check_integer("seed", self.seed)
         if self.n < 0:
             raise ValueError(f"need a non-negative event count, got {self.n}")
         if self.seed < 0:
@@ -179,6 +187,11 @@ def estimate_chsh(
     """
     if len(angles) != 4:
         raise ValueError("angles must be (a, b, a_prime, b_prime)")
+    if n is not None:
+        _check_integer("n", n)
+        if n <= 0:
+            raise ValueError(f"need a positive sample count, got {n}")
+    _check_integer("seed", seed)
     a, b, ap, bp = angles
     pairs = ((a, b), (a, bp), (ap, b), (ap, bp))
     correlations = []
@@ -192,8 +205,6 @@ def estimate_chsh(
             e = p11 - p10 - p01 + p00
             var = 0.0
         else:
-            if n <= 0:
-                raise ValueError(f"need a positive sample count, got {n}")
             codes = _sample_codes(dist.as_tuple(), n, (seed, idx))
             same = (codes == 0) | (codes == 3)
             e = float(same.mean() - (~same).mean())

@@ -43,6 +43,18 @@ class TestSamplerSpec:
         with pytest.raises(ValueError, match="seed"):
             SamplerSpec(config=PolarizationConfig(0.0, 0.0), n=10, seed=-1)
 
+    @pytest.mark.parametrize("value", [True, False, 2.5, 10.0, "10", None])
+    @pytest.mark.parametrize("field", ["n", "seed"])
+    def test_rejects_bool_and_non_integer(self, field, value):
+        values = {"n": 10, "seed": 0, field: value}
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            SamplerSpec(config=PolarizationConfig(0.0, 0.0), **values)
+
+    def test_numpy_integers_allowed(self):
+        spec = SamplerSpec(config=POLAR_SPEC.config, n=np.int64(40), seed=np.uint32(7))
+        want = SamplerSpec(config=POLAR_SPEC.config, n=40, seed=7)
+        assert np.array_equal(sample_outcome_codes(spec).codes, sample_outcome_codes(want).codes)
+
     def test_zero_count_allowed(self):
         spec = SamplerSpec(config=PolarizationConfig(0.0, 0.0), n=0, seed=0)
         assert len(sample_outcome_codes(spec).codes) == 0
@@ -218,6 +230,14 @@ class TestChshEstimate:
     def test_rejects_nonpositive_sample_count(self):
         with pytest.raises(ValueError, match="positive sample count"):
             estimate_chsh(self.STANDARD, n=0)
+
+    @pytest.mark.parametrize("value", [True, False, 2.5, 1e6, "10"])
+    @pytest.mark.parametrize("field", ["n", "seed"])
+    def test_rejects_bool_and_non_integer(self, field, value):
+        # n=True used to sample one event per setting and report S = 4
+        values = {"n": 1000, "seed": 0, field: value}
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            estimate_chsh(self.STANDARD, **values)
 
 
 def searchsorted_codes(cumulative: np.ndarray, u: np.ndarray) -> np.ndarray:

@@ -284,13 +284,6 @@ class TestDraw:
     def test_matches_binary_search(self, probabilities, count, seed):
         self.check(probabilities, count, (seed, 0))
 
-    @pytest.mark.parametrize("probabilities", [
-        (1.0, 0.0), (0.0, 1.0), (0.0, 0.0, 0.0, 1.0), (1.0, 0.0, 0.0, 0.0), (0.0, 1.0, 0.0, 0.0),
-    ])
-    def test_single_outcome_is_constant(self, probabilities):
-        codes, _ = self.check(probabilities, CHUNK_EVENTS, (3, 1))
-        assert (codes == probabilities.index(1.0)).all()
-
     def test_u_above_the_sum_gets_the_last_code(self):
         # a sum well below 1 puts half of the draws in the clipped range [sum, 1)
         codes, u = self.check((0.2, 0.3), CHUNK_EVENTS, (5, 2))

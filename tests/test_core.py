@@ -14,6 +14,7 @@ from eprsim.core import (
     distribution_from_amplitudes,
     entanglement_degree,
     make_source_state,
+    source_coefficients,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -72,6 +73,17 @@ class TestEntanglementDegree:
         assert got == pytest.approx(abs(math.cos(2 * alpha)), abs=1e-12)
         s = make_source_state(alpha)
         assert got == pytest.approx(brute_force_concurrence(s), abs=1e-12)
+
+    def test_bits_match_complex_coefficient_matrix(self):
+        # 2|c11 c22 - c12 c21| in complex arithmetic, bit for bit
+        rng = np.random.default_rng(20140)
+        alphas = rng.uniform(-50.0, 50.0, 10_000).tolist()
+        alphas += [0.0, -0.0, math.pi / 8, math.pi / 4, math.pi / 2]
+        for alpha in alphas:
+            corr, anti = source_coefficients(alpha)
+            c11, c12 = complex(corr, 0.0), complex(0.0, anti)
+            c21, c22 = complex(0.0, -anti), complex(corr, 0.0)
+            assert entanglement_degree(alpha) == 2.0 * abs(c11 * c22 - c12 * c21), alpha
 
 
 class TestDistributionFromAmplitudes:

@@ -10,10 +10,8 @@ non-coincident singles statistics.
 from .core import (
     JointDistribution,
     MarginalDistribution,
-    TwoPhotonState,
     UnitarityError,
     entanglement_degree,
-    make_source_state,
 )
 from .pathbench import (
     AliceMode,
@@ -57,7 +55,6 @@ __all__ = [
     "PolarizationConfig",
     "SamplerSpec",
     "SamplingError",
-    "TwoPhotonState",
     "UnitarityError",
     "WedgeGeometry",
     "empirical_joint",
@@ -66,7 +63,6 @@ __all__ = [
     "estimate_chsh",
     "expected_bob_marginals",
     "fresnel_propagate",
-    "make_source_state",
     "mz_bob_marginals",
     "mz_joint_amplitudes",
     "mz_joint_probabilities",

@@ -13,10 +13,11 @@ horizontal/vertical polarization for the polarimeter bench and the two
 source paths for the interferometer benches; the coefficients are the same
 either way.
 
-Everything downstream consumes the four complex coefficients, so this
-module also carries the small probability containers shared by the benches
-(floats, or arrays for a grid of settings) and the arithmetic of their
-amplitude functions, which hold complex numbers as (real, imaginary) pairs.
+Everything downstream consumes the pair (corr, anti) of
+``source_coefficients``, so this module also carries the small probability
+containers shared by the benches (floats, or arrays for a grid of settings)
+and the arithmetic of their amplitude functions, which hold complex numbers
+as (real, imaginary) pairs.
 """
 
 from __future__ import annotations
@@ -95,58 +96,19 @@ def source_coefficients(alpha):
     return (cos_b + sin_b) / 2.0, (cos_b - sin_b) / 2.0
 
 
-@dataclass(frozen=True)
-class TwoPhotonState:
-    """Joint state coefficients in the (photon A, photon B) mode basis.
-
-    Ordering is c11, c12, c21, c22 with photon A's index first.
-    """
-
-    c11: complex
-    c12: complex
-    c21: complex
-    c22: complex
-
-    def __post_init__(self) -> None:
-        if abs(self.norm_sq() - 1.0) > NORM_TOL:
-            raise UnitarityError(self.norm_sq() - 1.0)
-
-    def coefficients(self) -> tuple[complex, complex, complex, complex]:
-        return (self.c11, self.c12, self.c21, self.c22)
-
-    def norm_sq(self) -> float:
-        return sum(abs(c) ** 2 for c in self.coefficients())
-
-
-def make_source_state(alpha: float) -> TwoPhotonState:
-    """Source state at mixing angle alpha.
-
-    alpha = 0 gives the singlet-like state i(|12> - |21>)/sqrt(2); alpha =
-    pi/4 gives a product state; intermediate angles give partial
-    entanglement.  Any finite alpha is accepted.
-    """
-    corr, anti = source_coefficients(_require_angle(alpha, "alpha"))
-    return TwoPhotonState(
-        c11=complex(corr, 0.0),
-        c12=complex(0.0, anti),
-        c21=complex(0.0, -anti),
-        c22=complex(corr, 0.0),
-    )
-
-
 def entanglement_degree(alpha: float) -> float:
     """Concurrence of the source state, analytically |cos 2*alpha|."""
-    state = make_source_state(alpha)
-    c11, c12, c21, c22 = state.coefficients()
-    # concurrence of a pure two-qubit state: 2 |c11 c22 - c12 c21|
-    return 2.0 * abs(c11 * c22 - c12 * c21)
+    corr, anti = source_coefficients(_require_angle(alpha, "alpha"))
+    # pure two-qubit concurrence 2 |c11 c22 - c12 c21|, with c11 c22 = corr^2
+    # and c12 c21 = (i anti)(-i anti) = anti^2
+    return 2.0 * abs(corr * corr - anti * anti)
 
 
 @dataclass(frozen=True)
 class JointDistribution:
     """Probabilities of the four coincidence outcomes of a bench.
 
-    Index convention matches TwoPhotonState: first digit is Alice's
+    Index convention matches psi(alpha)'s |jk>: first digit is Alice's
     detector, second is Bob's, with 1 the "upper" outcome of each.  The
     fields are floats, or arrays of one shape for a grid of settings.
     """

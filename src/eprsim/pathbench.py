@@ -1,7 +1,7 @@
 """Path bench: each photon enters a two-path interferometer.
 
 The source emits one photon toward Alice and one toward Bob, each in a
-superposition of two paths (coefficients from ``make_source_state`` in the
+superposition of two paths (coefficients from ``source_coefficients`` in the
 path basis).  Each arm carries a phase shifter on path 1 (phi_a on Alice's
 side, phi_b on Bob's) followed by a 50/50 recombining splitter feeding two
 detectors.  The splitter convention puts the i on reflection; with the

@@ -8,55 +8,48 @@ import eprsim
 from eprsim.core import (
     JointDistribution,
     MarginalDistribution,
-    TwoPhotonState,
     UnitarityError,
     canonical_angle,
     distribution_from_amplitudes,
     entanglement_degree,
-    make_source_state,
     source_coefficients,
 )
 
 SQRT2 = math.sqrt(2.0)
+# seeded angles over many periods, plus the family's landmarks
+ALPHAS = np.random.default_rng(20140).uniform(-50.0, 50.0, 10_000).tolist() + [
+    0.0, -0.0, math.pi / 8, math.pi / 4, math.pi / 2]
 
 
-def brute_force_concurrence(state: TwoPhotonState) -> float:
-    # 2|ad - bc| on the coefficient matrix [[a, b], [c, d]]
-    return 2.0 * abs(state.c11 * state.c22 - state.c12 * state.c21)
+def brute_force_concurrence(alpha: float) -> float:
+    # 2|ad - bc| on the complex coefficient matrix [[c11, c12], [c21, c22]]
+    corr, anti = source_coefficients(alpha)
+    c11, c12 = complex(corr, 0.0), complex(0.0, anti)
+    c21, c22 = complex(0.0, -anti), complex(corr, 0.0)
+    return 2.0 * abs(c11 * c22 - c12 * c21)
 
 
 class TestSourceState:
     def test_fully_entangled_coefficients(self):
-        # alpha=0 collapses to i(|12> - |21>)/sqrt(2)
-        s = make_source_state(0.0)
-        assert s.c11 == pytest.approx(0.0, abs=1e-15)
-        assert s.c12 == pytest.approx(1j / SQRT2, abs=1e-15)
-        assert s.c21 == pytest.approx(-1j / SQRT2, abs=1e-15)
-        assert s.c22 == pytest.approx(0.0, abs=1e-15)
+        # alpha=0 collapses to i(|12> - |21>)/sqrt(2): corr = 0, anti = 1/sqrt(2)
+        corr, anti = source_coefficients(0.0)
+        assert corr == pytest.approx(0.0, abs=1e-15)
+        assert anti == pytest.approx(1 / SQRT2, abs=1e-15)
 
     def test_product_state_coefficients(self):
         # alpha=pi/4 gives the separable (1, i, -i, 1)/2
-        s = make_source_state(math.pi / 4)
-        assert s.c11 == pytest.approx(0.5, abs=1e-15)
-        assert s.c12 == pytest.approx(0.5j, abs=1e-15)
-        assert s.c21 == pytest.approx(-0.5j, abs=1e-15)
-        assert s.c22 == pytest.approx(0.5, abs=1e-15)
-        assert brute_force_concurrence(s) == pytest.approx(0.0, abs=1e-15)
+        assert source_coefficients(math.pi / 4) == (0.5, 0.5)
+        assert entanglement_degree(math.pi / 4) == pytest.approx(0.0, abs=1e-15)
 
-    @pytest.mark.parametrize("alpha", [0.0, 0.3, math.pi / 8, 1.2, math.pi / 2])
-    def test_normalized_for_any_alpha(self, alpha):
-        s = make_source_state(alpha)
-        assert s.norm_sq() == pytest.approx(1.0, abs=1e-12)
+    def test_normalized_for_any_alpha(self):
+        # |c11|^2 + |c12|^2 + |c21|^2 + |c22|^2 = 2 corr^2 + 2 anti^2
+        corr, anti = source_coefficients(np.array(ALPHAS))
+        assert np.abs(2 * corr**2 + 2 * anti**2 - 1.0).max() <= 1e-12
 
-    def test_rejects_non_finite_alpha(self):
-        with pytest.raises(ValueError):
-            make_source_state(math.nan)
-        with pytest.raises(ValueError):
-            make_source_state(math.inf)
-
-    def test_state_validates_norm(self):
-        with pytest.raises(ValueError):
-            TwoPhotonState(0.9, 0.0, 0.0, 0.0)
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_alpha(self, alpha):
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            entanglement_degree(alpha)
 
 
 class TestEntanglementDegree:
@@ -68,22 +61,12 @@ class TestEntanglementDegree:
         assert entanglement_degree(math.pi / 2) == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("alpha", [i * 0.1 for i in range(16)])
-    def test_matches_cos_2alpha_and_brute_force(self, alpha):
-        got = entanglement_degree(alpha)
-        assert got == pytest.approx(abs(math.cos(2 * alpha)), abs=1e-12)
-        s = make_source_state(alpha)
-        assert got == pytest.approx(brute_force_concurrence(s), abs=1e-12)
+    def test_matches_cos_2alpha(self, alpha):
+        assert entanglement_degree(alpha) == pytest.approx(abs(math.cos(2 * alpha)), abs=1e-12)
 
     def test_bits_match_complex_coefficient_matrix(self):
-        # 2|c11 c22 - c12 c21| in complex arithmetic, bit for bit
-        rng = np.random.default_rng(20140)
-        alphas = rng.uniform(-50.0, 50.0, 10_000).tolist()
-        alphas += [0.0, -0.0, math.pi / 8, math.pi / 4, math.pi / 2]
-        for alpha in alphas:
-            corr, anti = source_coefficients(alpha)
-            c11, c12 = complex(corr, 0.0), complex(0.0, anti)
-            c21, c22 = complex(0.0, -anti), complex(corr, 0.0)
-            assert entanglement_degree(alpha) == 2.0 * abs(c11 * c22 - c12 * c21), alpha
+        for alpha in ALPHAS:
+            assert entanglement_degree(alpha) == brute_force_concurrence(alpha), alpha
 
 
 class TestDistributionFromAmplitudes:

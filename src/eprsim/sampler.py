@@ -192,6 +192,8 @@ def estimate_chsh(
         if n <= 0:
             raise ValueError(f"need a positive sample count, got {n}")
     _check_integer("seed", seed)
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     a, b, ap, bp = angles
     pairs = ((a, b), (a, bp), (ap, b), (ap, bp))
     correlations = []

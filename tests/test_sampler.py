@@ -239,6 +239,10 @@ class TestChshEstimate:
         with pytest.raises(ValueError, match=f"^{field} must be an integer"):
             estimate_chsh(self.STANDARD, **values)
 
+    def test_rejects_negative_seed(self):
+        with pytest.raises(ValueError, match="^seed must be non-negative, got -1$"):
+            estimate_chsh(self.STANDARD, n=10, seed=-1)
+
 
 def searchsorted_codes(cumulative: np.ndarray, u: np.ndarray) -> np.ndarray:
     """The oracle: the draw as a binary search for u, clipped to the last code."""

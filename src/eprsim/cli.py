@@ -247,7 +247,7 @@ COMMANDS = {
     "audit": Command(_cmd_audit, "no-signaling sweep; exit 2 on failure", (
         Param("bench", "choice", "all", choices=("polar", "mz", "wedge", "all")),
         Param("grid", "int", None, minimum=1),
-        Param("tolerance", "float", None),
+        Param("tolerance", "float", None, minimum=0),
     ), geometry=True),
 }
 

@@ -124,7 +124,7 @@ class Param:
         except (TypeError, ValueError):
             expected = "an integer" if cast is int else "a number"
             raise ConfigError(f"{name}: expected {expected}, got {raw!r}") from None
-        if self.minimum is not None and value < self.minimum:
+        if self.minimum is not None and not value >= self.minimum:  # NaN fails too
             raise ConfigError(f"{name}: must be >= {self.minimum}, got {value}")
         return value
 

@@ -125,7 +125,9 @@ class TestParseConfig:
         ("bench=polar\nbogus=1\n", "2: bogus=1"),
         ("bench=polar beam_sigma=1", "1: beam_sigma=1"),
         ("bench=wedge\ngeometry.sigma=1\n", "2: geometry.sigma=1"),
-    ], ids=["angles-element", "unknown-parameter", "geometry-without-geom", "unknown-geometry"])
+        ("bench=audit\ntolerance=nan\n", "2: tolerance=nan"),
+    ], ids=["angles-element", "unknown-parameter", "geometry-without-geom", "unknown-geometry",
+            "nan-tolerance"])
     def test_every_error_names_its_line(self, text, line):
         with pytest.raises(ConfigError, match=re.escape(f"(line {line!r})") + "$"):
             parse_config(text)
@@ -634,6 +636,19 @@ class TestAuditInputs:
     def test_zero_tolerance_is_kept(self, capsys):
         assert main(["audit", "--bench", "polar", "--grid", "5", "--tolerance", "0"]) == 2
         assert "[FAIL] polar" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("value", ["-1", "-0.5", "nan"])
+    def test_negative_or_nan_tolerance_is_a_usage_error(self, value, capsys):
+        # exit 2 would read as a deviation found by the audit
+        assert main(["audit", "--bench", "polar", "--grid", "5", "--tolerance", value]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "tolerance: must be >= 0, got " in captured.err
+
+    def test_infinite_tolerance_is_kept(self, capsys):
+        assert main(["audit", "--bench", "polar", "--grid", "5", "--tolerance", "inf"]) == 0
+        assert "[PASS] polar" in capsys.readouterr().out
+        # a NaN deviation still fails under it
+        assert not _audit("x", math.inf, ([0.0],), np.array([[math.nan], [0.0]])).passed
 
     def test_none_keeps_each_audit_default(self):
         (polar,) = run_no_signal_audit("polar", tolerance=0.0)

@@ -97,13 +97,13 @@ class WedgeGeometry:
 
     def __post_init__(self) -> None:
         s = self.beam_sigma
-        if not (0.0 < self.wavelength < math.inf and s > 0):
-            raise ValueError("wavelength must be positive and finite, beam_sigma positive")
+        if not (0.0 < self.wavelength < math.inf and 0.0 < s < math.inf):
+            raise ValueError("wavelength and beam_sigma must be positive and finite")
         if not 0.0 <= self.propagation_distance < math.inf:
             raise ValueError("propagation_distance must be finite and non-negative")
         if self.aperture_halfwidth is None:
             object.__setattr__(self, "aperture_halfwidth", 10.0 * s)
-        if self.aperture_halfwidth < MIN_APERTURE_SIGMAS * s:
+        if not self.aperture_halfwidth >= MIN_APERTURE_SIGMAS * s:  # NaN fails too
             raise ValueError(
                 f"aperture_halfwidth must be >= {MIN_APERTURE_SIGMAS:g} beam sigmas"
             )

@@ -88,6 +88,14 @@ class TestGeometry:
         with pytest.raises(ValueError):
             WedgeGeometry(**bad)
 
+    @pytest.mark.parametrize("bad, named", [
+        (dict(beam_sigma=math.inf), "beam_sigma must be positive and finite"),
+        (dict(aperture_halfwidth=math.nan), "aperture_halfwidth must be >= 5 beam sigmas"),
+    ])
+    def test_names_the_bad_field(self, bad, named):
+        with pytest.raises(ValueError, match=named):
+            WedgeGeometry(**bad)
+
     def test_hashable_for_caching(self):
         assert hash(WedgeGeometry()) == hash(WedgeGeometry())
 

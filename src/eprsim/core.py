@@ -13,11 +13,10 @@ horizontal/vertical polarization for the polarimeter bench and the two
 source paths for the interferometer benches; the coefficients are the same
 either way.
 
-Everything downstream consumes the pair (corr, anti) of
-``source_coefficients``, so this module also carries the small probability
-containers shared by the benches (floats, or arrays for a grid of settings)
-and the arithmetic of their amplitude functions, which hold complex numbers
-as (real, imaginary) pairs.
+Everything downstream consumes the (corr, anti) pair of source_coefficients,
+so this module also carries the small probability containers shared by the
+benches (floats, or arrays for a grid of settings) and the arithmetic of their
+amplitude functions, which hold complex numbers as (real, imaginary) pairs.
 """
 
 from __future__ import annotations

@@ -8,7 +8,9 @@ events and ``--summary``, chsh analytic and sampled, audit lines), each
 table in both ``--format csv`` and ``--format json``.  ``STREAMS``, the
 ``--workers 1`` and ``3`` summaries and ``chsh --n 200000`` draw more than
 one sampler chunk, so they pin the chunk seeding and the draw across chunk
-boundaries (event streams in CSV only).  A refactor of
+boundaries (event streams in CSV only).  ``mz --marginals --grid 91`` and
+``mz --grid 21`` span two render blocks, so they pin how a column that is
+constant in one block but not the other is rendered.  A refactor of
 the front end must leave all of them unchanged; a deliberate output
 change updates them together with a note in CHANGES.md.
 
@@ -84,6 +86,16 @@ TABLES = {
     "mz --marginals --grid 3": (
         (0, '973e07f544d33290f9f6ee1571e8c739cd9e5c2a0e190cbecf48a9aac1791bde'),
         (0, 'a26fe8d72d8a15c35da56e90b7eda66b34440c9b18778ce47f2e24e68bc40f26'),
+    ),
+    # two render blocks each: 8,281 rows whose alpha is constant in the second
+    # block only, and 9,261 rows whose mode is constant in both
+    "mz --marginals --grid 91": (
+        (0, '680e868646bf681abbaab372e67d8b2a97765df9754e82e949df333943eef494'),
+        (0, '4abd076bc04af46fe5452f874d17d81c91e1e4496ba97b27564fe271fedaf676'),
+    ),
+    "mz --grid 21 --bs-a out": (
+        (0, '8028821722032899cfc1fe9e37e0f563c86dc476cef7604facdd3001e344d9bd'),
+        (0, '4bbf88c83a8539af0b19b4baba2491cc54383ff53fa42a5800bdc6c9f3c916a0'),
     ),
     f"wedge --alpha pi/4 --phi-b pi/2 {SMALL_GEOM}": (
         (0, 'bf4d0fe32c017dec2faaa4feebeb2e1ee14897dd6eaf9124e745a15647d5a027'),

@@ -4,7 +4,9 @@ CSV uses '.' as the decimal separator and 17 significant digits for
 floats so round-tripping through text preserves the double exactly and
 repeated runs are byte-identical.  Tables are columnar: CSV is rendered
 column by column in blocks of rows, each written out as it is rendered,
-and a float column formats each distinct 64-bit pattern once.
+and a float column formats each distinct 64-bit pattern once.  A column
+printing one text throughout a block is formatted once, inside one
+string of separators and constant cells between the varying cells.
 """
 
 from __future__ import annotations
@@ -81,18 +83,30 @@ def _texts(column: np.ndarray) -> list[str]:
     return cells if kind == "U" else list(map(str, cells))
 
 
+def _constant(column: np.ndarray) -> bool:
+    """Whether every cell prints as the first: float cells by 64-bit pattern, int,
+    bool and str cells by ``==``; object and complex cells, equal or not, never."""
+    if column.dtype.kind == "f":
+        column = column.astype(np.float64, copy=False).view(np.uint64)
+    return column.dtype.kind in "iubU" and bool((column == column[0]).all())
+
+
 def _csv_blocks(table: Table):
     """The CSV header, then the text of each block of ``BLOCK_ROWS`` rows."""
-    width = len(table.columns)
     yield ",".join(table.columns) + "\n"
     for start in range(0, len(table), BLOCK_ROWS):
-        block = [_texts(column[start:start + BLOCK_ROWS]) for column in table.data]
-        rows = len(block[0])
-        # cell, separator, cell, ..., newline: one join per block
-        cells = [""] * (2 * width * rows)
-        for j, texts in enumerate(block):
-            cells[2 * j::2 * width] = texts
-            cells[2 * j + 1::2 * width] = ["\n" if j == width - 1 else ","] * rows
+        # a row: varying cells, fixed strings of separators and constant cells between
+        parts = [""]
+        for column, sep in zip(table.data, [","] * (len(table.columns) - 1) + ["\n"]):
+            column = column[start:start + BLOCK_ROWS]
+            if _constant(column):
+                parts[-1] += _texts(column[:1])[0] + sep
+            else:
+                parts += [_texts(column), sep]
+        parts, rows = [part for part in parts if part], len(column)
+        cells = [""] * (len(parts) * rows)  # one join per block
+        for k, part in enumerate(parts):
+            cells[k::len(parts)] = [part] * rows if isinstance(part, str) else part
         yield "".join(cells)
 
 

@@ -6,7 +6,10 @@ import math
 import numpy as np
 import pytest
 
-from eprsim.output import BLOCK_ROWS, Table, emit_table, render_csv, render_json
+from eprsim.output import (
+    BLOCK_ROWS, FLOAT_FORMAT, Table, _constant, emit_table, render_csv, render_json,
+)
+from eprsim.pathbench import AliceMode
 
 from conftest import rows
 
@@ -61,6 +64,105 @@ class TestCsv:
 
     def test_rendering_is_deterministic(self):
         assert render_csv(SAMPLE) == render_csv(SAMPLE)
+
+
+def one_cell_at_a_time(table: Table) -> str:
+    """The CSV by ``Table``'s cell rules, each cell formatted on its own: no
+    render blocks, no shared float texts and no folded constant columns."""
+    def text(column, i):
+        value = column[i]
+        if column.dtype.kind == "f":
+            return FLOAT_FORMAT % float(value)
+        if column.dtype.kind == "b":
+            return "true" if value else "false"
+        return str(value.item() if isinstance(value, np.generic) else value)
+
+    lines = [table.columns, *([text(c, i) for c in table.data] for i in range(len(table)))]
+    return "".join(",".join(line) + "\n" for line in lines)
+
+
+def nans(*payloads: int) -> np.ndarray:
+    """Quiet NaNs with the given low payload bits."""
+    return (np.array(payloads, dtype=np.uint64) | np.uint64(0x7FF8000000000000)).view(np.float64)
+
+
+def constant_and_varying(n: int) -> dict[str, np.ndarray]:
+    """For each column kind, one column constant over ``n`` rows and one that varies."""
+    i = np.arange(n)
+    modes = np.array(list(AliceMode), dtype=object)
+    return {
+        "f64": np.full(n, 0.1), "f64_v": i / 7,
+        "f32": np.full(n, 0.1, np.float32), "f32_v": (i / 7).astype(np.float32),
+        "i64": np.full(n, -3), "i64_v": i - 5,
+        "u8": np.full(n, 200, np.uint8), "u8_v": (i % 256).astype(np.uint8),
+        "bool": np.full(n, True), "bool_v": i % 3 == 0,
+        "comma": np.full(n, "a,b"), "percent": np.full(n, "%"),
+        "str_v": np.array(["a,b", "%", "", "x"])[i % 4],
+        "mode": np.full(n, AliceMode.BEAM_STOP, dtype=object), "mode_v": modes[i % 3],
+        "neg_zero": np.full(n, -0.0), "zeros": np.where(i % 2, 0.0, -0.0),
+        "nan": np.full(n, math.nan), "nan_v": nans(0, 1)[i % 2],
+        "empty": np.full(n, ""),
+    }
+
+
+class TestFold:
+    """Columns that print one text throughout a render block are folded into
+    the row's fixed strings; the bytes must be the cell-by-cell ones."""
+
+    SIZES = [0, 1, BLOCK_ROWS, BLOCK_ROWS + 1]
+
+    @staticmethod
+    def assert_matches(columns: dict[str, np.ndarray]) -> None:
+        table = Table(tuple(columns), tuple(columns.values()))
+        assert render_csv(table) == one_cell_at_a_time(table)
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_each_kind_constant_and_varying(self, n):
+        columns = constant_and_varying(n)
+        self.assert_matches(columns)  # first column and last column constant
+        self.assert_matches(dict(reversed(columns.items())))
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_varying_between_constants(self, n):
+        columns = constant_and_varying(n)
+        self.assert_matches({"a": columns["f64_v"], "b": columns["i64"], "c": columns["str_v"]})
+        self.assert_matches({"a": columns["i64"], "b": columns["f64_v"], "c": columns["empty"]})
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_every_column_constant(self, n):
+        columns = {k: v for k, v in constant_and_varying(n).items()
+                   if not k.endswith("_v") and k not in ("mode", "zeros")}
+        self.assert_matches(columns)
+        table = Table(tuple(columns), tuple(columns.values()))
+        assert len(set(render_csv(table).splitlines()[1:])) == min(n, 1)
+
+    @pytest.mark.parametrize("first, second", [
+        (np.full(BLOCK_ROWS, 2.5), np.arange(5.0)),
+        (np.arange(BLOCK_ROWS) / 3, np.full(5, 2.5)),
+        (np.full(BLOCK_ROWS, -0.0), np.full(5, 0.0)),
+        (np.full(BLOCK_ROWS, 7), np.arange(5)),
+        (np.array(["x", "y"] * (BLOCK_ROWS // 2)), np.full(5, "a,b")),
+        (np.full(BLOCK_ROWS, False), np.array([True, False] * 2 + [True])),
+    ], ids=["float-then-varying", "varying-then-float", "neg-zero-then-zero", "int", "str",
+            "bool"])
+    def test_constant_in_one_block_only(self, first, second):
+        column = np.concatenate([first, second])
+        n = len(column)
+        self.assert_matches({"i": np.arange(n), "x": column, "y": np.full(n, 0.5)})
+        self.assert_matches({"x": column, "i": np.arange(n)})
+
+    def test_what_counts_as_constant(self):
+        assert _constant(np.full(3, math.nan)) and _constant(np.full(3, -0.0))
+        assert _constant(np.full(3, "")) and _constant(np.full(3, 2**63, np.uint64))
+        assert not _constant(np.array([0.0, -0.0]))
+        assert not _constant(nans(0, 1))  # both print as nan, but differ in bits
+        assert not _constant(np.full(3, AliceMode.SPLITTER_IN, dtype=object))
+        assert not _constant(np.array([0j, complex(-0.0, 0.0)]))
+
+    def test_equal_values_that_print_apart(self):
+        # == holds for each pair, yet the texts differ; neither column is folded
+        self.assert_matches({"c": np.array([0j, complex(-0.0, 0.0)] * 3),
+                             "o": np.array([1, 1.0, 1, 1.0, 1, 1.0], dtype=object)})
 
 
 class TestJson:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 from dataclasses import dataclass
 
@@ -257,6 +258,11 @@ class _Parser(argparse.ArgumentParser):
 
     argparse would exit 2, which ``audit`` uses to report a deviation.
     """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)  # adds -h under argparse's own matcher
+        # '-' then a non-dash naming no option is a value: --alpha -pi/4 as --alpha=-pi/4
+        self._negative_number_matcher = re.compile(r"^-[^-]")
 
     def error(self, message: str):
         raise ConfigError(message)

@@ -632,6 +632,45 @@ class TestUsageErrors:
         assert "--summary" in capsys.readouterr().out
 
 
+class TestNegativeValueAfterASpace:
+    """``--opt -value`` parses as ``--opt=-value`` even where argparse's own
+    negative-number test (only ``-<digits>`` and ``-<digits>.<digits>``) fails."""
+
+    @pytest.mark.parametrize("argv", [
+        ["polar", "--alpha", "-1e-3"],
+        ["polar", "--alpha", "-pi/4"],
+        ["mz", "--phi-a", "-2*pi/3"],
+        ["audit", "--bench", "polar", "--grid", "5", "--tolerance", "-1e-300"],
+        ["polar", "--alpha", "-x"],
+    ])
+    def test_same_as_the_equals_form(self, argv, capsys):
+        spaced = (main(argv), *capsys.readouterr())
+        joined = (main([*argv[:-2], f"{argv[-2]}={argv[-1]}"]), *capsys.readouterr())
+        assert spaced == joined
+
+    def test_values_are_used(self, capsys):
+        assert main(["polar", "--alpha", "-1e-3"]) == 0
+        assert capsys.readouterr().out.splitlines()[1].startswith("-0.001,0,")
+        assert main(["mz", "--phi-a", "-2*pi/3"]) == 0
+        assert capsys.readouterr().out.splitlines()[1].startswith("0,-2.0943951023931953,")
+
+    def test_negative_tolerance_is_range_checked(self, capsys):
+        assert main(["audit", "--bench", "polar", "--tolerance", "-1e-300"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "tolerance: must be >= 0, got -1e-300" in captured.err
+
+    def test_an_option_is_still_no_value(self, capsys):
+        assert main(["polar", "--alpha", "--theta", "1"]) == 1
+        assert "--alpha: expected one argument" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["-h"], ["polar", "-h"], ["polar", "--alpha", "1", "-h"]])
+    def test_short_help_still_works(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: eprsim")
+
+
 class TestAuditInputs:
     def test_zero_tolerance_is_kept(self, capsys):
         assert main(["audit", "--bench", "polar", "--grid", "5", "--tolerance", "0"]) == 2

@@ -6,12 +6,11 @@ import math
 import numpy as np
 import pytest
 
-from eprsim.output import (
-    BLOCK_ROWS, FLOAT_FORMAT, Table, _constant, emit_table, render_csv, render_json,
-)
+from eprsim.output import BLOCK_ROWS, Table, _constant, emit_table, render_csv, render_json
 from eprsim.pathbench import AliceMode
 
 from conftest import rows
+from test_output_oracle import Frozen
 
 SAMPLE = Table.from_rows(
     ("name", "count", "value"),
@@ -66,21 +65,6 @@ class TestCsv:
         assert render_csv(SAMPLE) == render_csv(SAMPLE)
 
 
-def one_cell_at_a_time(table: Table) -> str:
-    """The CSV by ``Table``'s cell rules, each cell formatted on its own: no
-    render blocks, no shared float texts and no folded constant columns."""
-    def text(column, i):
-        value = column[i]
-        if column.dtype.kind == "f":
-            return FLOAT_FORMAT % float(value)
-        if column.dtype.kind == "b":
-            return "true" if value else "false"
-        return str(value.item() if isinstance(value, np.generic) else value)
-
-    lines = [table.columns, *([text(c, i) for c in table.data] for i in range(len(table)))]
-    return "".join(",".join(line) + "\n" for line in lines)
-
-
 def nans(*payloads: int) -> np.ndarray:
     """Quiet NaNs with the given low payload bits."""
     return (np.array(payloads, dtype=np.uint64) | np.uint64(0x7FF8000000000000)).view(np.float64)
@@ -107,14 +91,15 @@ def constant_and_varying(n: int) -> dict[str, np.ndarray]:
 
 class TestFold:
     """Columns that print one text throughout a render block are folded into
-    the row's fixed strings; the bytes must be the cell-by-cell ones."""
+    the row's fixed strings; the bytes must be those of the frozen row-based
+    renderer, which formats one cell at a time."""
 
     SIZES = [0, 1, BLOCK_ROWS, BLOCK_ROWS + 1]
 
     @staticmethod
     def assert_matches(columns: dict[str, np.ndarray]) -> None:
         table = Table(tuple(columns), tuple(columns.values()))
-        assert render_csv(table) == one_cell_at_a_time(table)
+        assert render_csv(table) == Frozen.render_csv(Frozen.Table(table.columns, rows(table)))
 
     @pytest.mark.parametrize("n", SIZES)
     def test_each_kind_constant_and_varying(self, n):
@@ -161,8 +146,9 @@ class TestFold:
 
     def test_equal_values_that_print_apart(self):
         # == holds for each pair, yet the texts differ; neither column is folded
-        self.assert_matches({"c": np.array([0j, complex(-0.0, 0.0)] * 3),
-                             "o": np.array([1, 1.0, 1, 1.0, 1, 1.0], dtype=object)})
+        signed_zeros = [0j, complex(-0.0, 0.0)] * 3
+        self.assert_matches({"c": np.array(signed_zeros),
+                             "o": np.array(signed_zeros, dtype=object)})
 
 
 class TestJson:

@@ -103,10 +103,10 @@ def _csv_blocks(table: Table):
                 parts[-1] += _texts(column[:1])[0] + sep
             else:
                 parts += [_texts(column), sep]
-        parts, rows = [part for part in parts if part], len(column)
-        cells = [""] * (len(parts) * rows)  # one join per block
+        parts = [part for part in parts if part]
+        cells = [""] * (len(parts) * len(column))  # one join per block
         for k, part in enumerate(parts):
-            cells[k::len(parts)] = [part] * rows if isinstance(part, str) else part
+            cells[k::len(parts)] = [part] * len(column) if isinstance(part, str) else part
         yield "".join(cells)
 
 

@@ -10,7 +10,8 @@ table in both ``--format csv`` and ``--format json``.  ``STREAMS``, the
 one sampler chunk, so they pin the chunk seeding and the draw across chunk
 boundaries (event streams in CSV only).  ``mz --marginals --grid 91`` and
 ``mz --grid 21`` span two render blocks, so they pin how a column that is
-constant in one block but not the other is rendered.  A refactor of
+constant in one block but not the other is rendered; ``polar --grid 91``
+spans two blocks whose columns come in bit-equal pairs.  A refactor of
 the front end must leave all of them unchanged; a deliberate output
 change updates them together with a note in CHANGES.md.
 
@@ -96,6 +97,11 @@ TABLES = {
     "mz --grid 21 --bs-a out": (
         (0, '8028821722032899cfc1fe9e37e0f563c86dc476cef7604facdd3001e344d9bd'),
         (0, '4bbf88c83a8539af0b19b4baba2491cc54383ff53fa42a5800bdc6c9f3c916a0'),
+    ),
+    # 8,281 rows over two blocks, with p_hh == p_vv and p_hv == p_vh bit for bit
+    "polar --grid 91": (
+        (0, '7bf3a86ec2c8dd99110f62af0d420301064220e0e8c36f639c856db3c5335779'),
+        (0, '3aff76713e35c3283942ba960601dfea1b62f6a23246be94aaca802f308fb8ff'),
     ),
     f"wedge --alpha pi/4 --phi-b pi/2 {SMALL_GEOM}": (
         (0, 'bf4d0fe32c017dec2faaa4feebeb2e1ee14897dd6eaf9124e745a15647d5a027'),

@@ -151,6 +151,41 @@ class TestFold:
                              "o": np.array(signed_zeros, dtype=object)})
 
 
+def shared_floats(n: int) -> dict[str, dict[str, np.ndarray]]:
+    """Tables of float columns whose cells share bit patterns across columns, or
+    share values that differ in bits."""
+    i = np.arange(n)
+    v = i / 7
+    return {
+        "equal": {"a": v, "b": v.copy(), "c": -v},
+        "signed_zeros": {"a": np.where(i % 2, v, 0.0), "b": np.where(i % 2, v, -0.0)},
+        "nan_payloads": {"a": np.where(i % 2, v, nans(0)), "b": np.where(i % 2, v, nans(1))},
+        "f32_f64": {"a": v.astype(np.float32), "b": v.astype(np.float32).astype(np.float64)},
+        "f32_only": {"a": v.astype(np.float32), "b": -v.astype(np.float32), "i": i},
+        "one_block": {"a": np.where(i < BLOCK_ROWS, v, 2.5), "b": v,
+                      "c": np.where(i < BLOCK_ROWS, 2.5, -v)},
+    }
+
+
+class TestSharedFloats:
+    """A block's float columns format each distinct 64-bit pattern once between
+    them; the bytes must be those of the frozen renderer."""
+
+    @pytest.mark.parametrize("case", sorted(shared_floats(0)))
+    @pytest.mark.parametrize("n", TestFold.SIZES)
+    def test_matches_frozen(self, n, case):
+        TestFold.assert_matches(shared_floats(n)[case])
+
+    def test_cases_hold_what_they_name(self):
+        tables = shared_floats(BLOCK_ROWS + 1)
+        zeros = tables["signed_zeros"]
+        assert (zeros["a"] == zeros["b"]).all()
+        assert not (zeros["a"].view(np.uint64) == zeros["b"].view(np.uint64)).all()
+        payloads = tables["nan_payloads"]
+        assert np.isnan(payloads["a"][::2]).all()
+        assert set(payloads["a"][::2].view(np.uint64)) != set(payloads["b"][::2].view(np.uint64))
+
+
 class TestJson:
     def test_document_is_valid_json(self):
         doc = json.loads(render_json(SAMPLE))

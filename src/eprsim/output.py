@@ -4,9 +4,9 @@ CSV uses '.' as the decimal separator and 17 significant digits for
 floats so round-tripping through text preserves the double exactly and
 repeated runs are byte-identical.  Tables are columnar: CSV is rendered
 column by column in blocks of rows, each written out as it is rendered,
-and a float column formats each distinct 64-bit pattern once.  A column
-printing one text throughout a block is formatted once, inside one
-string of separators and constant cells between the varying cells.
+and a block's float columns format each distinct 64-bit pattern once
+between them.  A column printing one text throughout a block is formatted
+once, inside the fixed string of separators between the varying cells.
 """
 
 from __future__ import annotations
@@ -68,15 +68,20 @@ def grid_table(columns: tuple[str, ...], axes: tuple, values) -> Table:
     return Table(columns, (*points, *cells))
 
 
+def _float_texts(columns: list[np.ndarray]) -> list[list[str]]:
+    """Equal-length float columns' CSV texts as float64, one format per distinct 64-bit
+    pattern across them all (keying on the value would merge -0.0 with 0.0, split NaNs)."""
+    bits = np.array(columns, dtype=np.float64).view(np.uint64)
+    unique, inverse = np.unique(bits, return_inverse=True)
+    texts = np.array([FLOAT_FORMAT % v for v in unique.view(np.float64).tolist()], dtype=object)
+    return texts[inverse].reshape(bits.shape).tolist()
+
+
 def _texts(column: np.ndarray) -> list[str]:
-    """Each cell's CSV text; a float column formats each distinct bit pattern
-    once (keying on the value would merge -0.0 with 0.0 and split NaNs)."""
+    """Each cell's CSV text, a float cell's by ``_float_texts``."""
     kind = column.dtype.kind
     if kind == "f":
-        bits, inverse = np.unique(column.astype(np.float64, copy=False).view(np.uint64),
-                                  return_inverse=True)
-        texts = [FLOAT_FORMAT % v for v in bits.view(np.float64).tolist()]
-        return np.array(texts, dtype=object)[inverse].tolist()
+        return _float_texts([column])[0]
     if kind == "b":
         return np.where(column, "true", "false").tolist()
     cells = column.tolist()
@@ -95,14 +100,17 @@ def _csv_blocks(table: Table):
     """The CSV header, then the text of each block of ``BLOCK_ROWS`` rows."""
     yield ",".join(table.columns) + "\n"
     for start in range(0, len(table), BLOCK_ROWS):
+        block = [column[start:start + BLOCK_ROWS] for column in table.data]
+        varying = [not _constant(column) for column in block]
+        floats = iter(_float_texts([column for column, vary in zip(block, varying)
+                                    if vary and column.dtype.kind == "f"]))
         # a row: varying cells, fixed strings of separators and constant cells between
         parts = [""]
-        for column, sep in zip(table.data, [","] * (len(table.columns) - 1) + ["\n"]):
-            column = column[start:start + BLOCK_ROWS]
-            if _constant(column):
+        for column, vary, sep in zip(block, varying, [","] * (len(block) - 1) + ["\n"]):
+            if not vary:
                 parts[-1] += _texts(column[:1])[0] + sep
             else:
-                parts += [_texts(column), sep]
+                parts += [next(floats) if column.dtype.kind == "f" else _texts(column), sep]
         parts = [part for part in parts if part]
         cells = [""] * (len(parts) * len(column))  # one join per block
         for k, part in enumerate(parts):

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import math
 import re
 from dataclasses import dataclass, field
@@ -236,6 +235,7 @@ def parse_config(text: str) -> RunConfig:
     """Parse config text in either the JSON or the key=value form."""
     stripped = text.lstrip()
     if stripped.startswith(("{", "[")):
+        import json  # imported here: only a JSON config needs it
         try:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:

@@ -11,7 +11,6 @@ once, inside the fixed string of separators between the varying cells.
 
 from __future__ import annotations
 
-import json
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -123,6 +122,7 @@ def render_csv(table: Table) -> str:
 
 
 def render_json(table: Table) -> str:
+    import json  # imported here, so that a CSV command does not load it at start
     payload = {
         "columns": list(table.columns),
         "rows": list(zip(*map(_json_values, table.data))),

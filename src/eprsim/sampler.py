@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 import numbers
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,6 +115,7 @@ def _sample_codes(
         return _chunk_codes(cumulative, count, entropy_base + (i,))
 
     if workers > 1 and n_chunks > 1:
+        from concurrent.futures import ThreadPoolExecutor  # imported here: only threads need it
         with ThreadPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(one, range(n_chunks)))
     else:

@@ -2,14 +2,18 @@
 
 import json
 import math
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import eprsim
 from eprsim import pathbench, polarization
 from eprsim.cli import (
     COMMANDS,
@@ -759,3 +763,15 @@ class TestReadme:
         for block in blocks:
             cfg = parse_config(block)
             assert parse_config(serialize_config(cfg)) == cfg
+
+
+class TestStartup:
+    def test_parser_loads_neither_json_nor_threads(self):
+        # imported where they are used: JSON output or config, more than one worker
+        code = ("import sys, eprsim.cli; eprsim.cli.build_parser(); "
+                "print(sorted({'json', 'concurrent.futures'} & set(sys.modules)))")
+        path = os.pathsep.join(filter(None, [str(Path(eprsim.__file__).parents[1]),
+                                             os.environ.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": path}, timeout=60)
+        assert (done.returncode, done.stdout) == (0, "[]\n"), done.stderr

@@ -746,16 +746,25 @@ def _readme_blocks(section: str) -> list[tuple[str, str]]:
     return re.findall(r"```(\w*)\n(.*?)```", body, flags=re.S)
 
 
+# every ``eprsim ...`` line of the README's shell blocks, as an argument list
+README_COMMANDS = [shlex.split(line, comments=True)[1:]
+                   for block in re.findall(r"```sh\n(.*?)```", README.read_text(encoding="utf-8"),
+                                           flags=re.S)
+                   for line in block.splitlines() if line.startswith("eprsim ")]
+
+
 class TestReadme:
     def test_commands_parse(self):
-        lines = [line for lang, block in _readme_blocks("## Command line")
-                 if lang == "sh" for line in block.splitlines()
-                 if line.startswith("eprsim ")]
-        assert len(lines) > 10
+        assert len(README_COMMANDS) > 10
         parser = build_parser()
-        for line in lines:
-            args = parser.parse_args(shlex.split(line, comments=True)[1:])
+        for argv in README_COMMANDS:
+            args = parser.parse_args(argv)
             assert callable(args.handler)
+
+    @pytest.mark.parametrize("argv", README_COMMANDS, ids=" ".join)
+    def test_command_runs(self, argv, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)  # for the commands that write --out files
+        assert main(argv) == 0, capsys.readouterr().err
 
     def test_config_examples_parse(self):
         blocks = [block for lang, block in _readme_blocks("### Config files") if lang != "sh"]

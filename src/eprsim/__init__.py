@@ -30,10 +30,10 @@ from .polarization import (
 from .sampler import (
     ChshEstimate,
     SamplerSpec,
-    empirical_joint,
     empirical_marginals,
     estimate_chsh,
     sample_outcome_codes,
+    sample_outcome_counts,
 )
 from .wedge import (
     SamplingError,
@@ -57,7 +57,6 @@ __all__ = [
     "SamplingError",
     "UnitarityError",
     "WedgeGeometry",
-    "empirical_joint",
     "empirical_marginals",
     "entanglement_degree",
     "estimate_chsh",
@@ -70,6 +69,7 @@ __all__ = [
     "polar_joint_amplitudes",
     "polar_joint_probabilities",
     "sample_outcome_codes",
+    "sample_outcome_counts",
     "signal_difference_map",
     "truncated_aperture_field",
     "wedge_bob_singles",

@@ -169,14 +169,13 @@ def _sampler_config(args):
 
 def _cmd_sample(args) -> Table:
     spec = sampler.SamplerSpec(_sampler_config(args), n=args.n, seed=args.seed)
-    result = sampler.sample_outcome_codes(spec, workers=args.workers)
     if args.summary:
-        marg = sampler.empirical_marginals(result)
+        marg = sampler.empirical_marginals(sampler.sample_outcome_counts(spec, args.workers))
         return Table.from_rows(
             ("n", "p_b1", "p_b0", "se_b1", "se_b0"),
             [(marg.n, marg.p_b1, marg.p_b0, marg.se_b1, marg.se_b0)],
         )
-    return sampler.events_table(result)
+    return sampler.events_table(sampler.sample_outcome_codes(spec, workers=args.workers))
 
 
 def _cmd_chsh(args) -> Table:

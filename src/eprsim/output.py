@@ -101,8 +101,8 @@ def _csv_blocks(table: Table):
     for start in range(0, len(table), BLOCK_ROWS):
         block = [column[start:start + BLOCK_ROWS] for column in table.data]
         varying = [not _constant(column) for column in block]
-        floats = iter(_float_texts([column for column, vary in zip(block, varying)
-                                    if vary and column.dtype.kind == "f"]))
+        varying_floats = [c for c, vary in zip(block, varying) if vary and c.dtype.kind == "f"]
+        floats = iter(_float_texts(varying_floats) if varying_floats else [])
         # a row: varying cells, fixed strings of separators and constant cells between
         parts = [""]
         for column, vary, sep in zip(block, varying, [","] * (len(block) - 1) + ["\n"]):

@@ -6,7 +6,9 @@ boundaries are fixed by the event count alone.  Worker threads only change
 who computes a chunk, never what it contains, so a given (spec, seed)
 produces an identical outcome stream for any worker count.  An event's
 code is the number of cumulative-probability edges, the last one left out,
-at or below its uniform draw u.
+at or below its uniform draw u.  Statistics come from per-chunk outcome
+counts, one count_nonzero pass per edge, so their memory does not grow with
+n: only the event listing holds codes.
 """
 
 from __future__ import annotations
@@ -99,34 +101,52 @@ def _chunk_codes(cumulative: np.ndarray, count: int, entropy: tuple[int, ...]) -
     return codes
 
 
-def _sample_codes(
-    probabilities: tuple[float, ...],
-    n: int,
-    entropy_base: tuple[int, ...],
-    workers: int = 1,
-) -> np.ndarray:
-    if n == 0:
-        return np.empty(0, dtype=np.uint8)
+def _chunk_counts(cumulative: np.ndarray, count: int, entropy: tuple[int, ...]) -> np.ndarray:
+    u = np.random.default_rng(np.random.SeedSequence(entropy)).random(count)
+    # _chunk_codes' histogram on the same draws: as the edges never decrease, u >= edge k
+    # exactly for the codes above k, so the outcome counts are differences of those counts
+    return -np.diff([count, *(np.count_nonzero(u >= edge) for edge in cumulative[:-1]), 0])
+
+
+def _per_chunk(kernel, probabilities: tuple[float, ...], n: int,
+               entropy_base: tuple[int, ...], workers: int) -> list:
+    """kernel(cumulative, count, entropy) of each chunk of n events, in chunk order."""
     cumulative = np.cumsum(probabilities)
     n_chunks = (n + CHUNK_EVENTS - 1) // CHUNK_EVENTS
 
-    def one(i: int) -> np.ndarray:
+    def one(i: int):
         count = min(CHUNK_EVENTS, n - i * CHUNK_EVENTS)
-        return _chunk_codes(cumulative, count, entropy_base + (i,))
+        return kernel(cumulative, count, entropy_base + (i,))
 
     if workers > 1 and n_chunks > 1:
         from concurrent.futures import ThreadPoolExecutor  # imported here: only threads need it
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(one, range(n_chunks)))
-    else:
-        parts = [one(i) for i in range(n_chunks)]
-    return np.concatenate(parts)
+            return list(pool.map(one, range(n_chunks)))
+    return [one(i) for i in range(n_chunks)]
+
+
+def _sample_codes(probabilities: tuple[float, ...], n: int, entropy_base: tuple[int, ...],
+                  workers: int = 1) -> np.ndarray:
+    if n == 0:
+        return np.empty(0, dtype=np.uint8)
+    return np.concatenate(_per_chunk(_chunk_codes, probabilities, n, entropy_base, workers))
+
+
+def _sample_counts(probabilities: tuple[float, ...], n: int, entropy_base: tuple[int, ...],
+                   workers: int = 1) -> np.ndarray:
+    counts = _per_chunk(_chunk_counts, probabilities, n, entropy_base, workers)
+    return sum(counts, np.zeros(len(probabilities), np.int64))
 
 
 def sample_outcome_codes(spec: SamplerSpec, workers: int = 1) -> SampleResult:
     """Draw spec.n outcome codes; identical stream for any worker count."""
     codes = _sample_codes(spec.probabilities(), spec.n, (spec.seed,), workers)
     return SampleResult(spec=spec, codes=codes)
+
+
+def sample_outcome_counts(spec: SamplerSpec, workers: int = 1) -> np.ndarray:
+    """Each outcome's count among spec.n events in label order, as codes' bincount."""
+    return _sample_counts(spec.probabilities(), spec.n, (spec.seed,), workers)
 
 
 @dataclass(frozen=True)
@@ -140,27 +160,16 @@ class EmpiricalMarginal:
     n: int
 
 
-def empirical_marginals(result: SampleResult) -> EmpiricalMarginal:
-    """Bob's singles frequencies from a sampled stream."""
-    n = len(result.codes)
+def empirical_marginals(counts: np.ndarray) -> EmpiricalMarginal:
+    """Bob's singles frequencies from a sampled stream's outcome counts, in label order."""
+    n = int(counts.sum())
     if n == 0:
         raise ValueError("empty event stream")
-    # Bob's outcome is the low bit of every bench's code (0 for his upper one, as
-    # in JointDistribution); count on the uint8 codes, with no int64 copy of 2e7 events
-    count_b1 = n - np.count_nonzero(result.codes & 1)
+    # Bob's outcome is every bench's low code bit, 0 for his upper one (JointDistribution)
+    count_b1 = int(counts[0::2].sum())
     p1 = count_b1 / n
     se = math.sqrt(p1 * (1.0 - p1) / n)
     return EmpiricalMarginal(p_b1=p1, p_b0=1.0 - p1, se_b1=se, se_b0=se, n=n)
-
-
-def empirical_joint(result: SampleResult) -> tuple[float, ...]:
-    """Outcome frequencies in label order."""
-    n = len(result.codes)
-    if n == 0:
-        raise ValueError("empty event stream")
-    k = len(result.labels())
-    counts = np.bincount(result.codes, minlength=k)
-    return tuple(float(c) / n for c in counts)
 
 
 @dataclass(frozen=True)
@@ -207,9 +216,9 @@ def estimate_chsh(
             e = p11 - p10 - p01 + p00
             var = 0.0
         else:
-            codes = _sample_codes(dist.as_tuple(), n, (seed, idx))
-            same = (codes == 0) | (codes == 3)
-            e = float(same.mean() - (~same).mean())
+            counts = _sample_counts(dist.as_tuple(), n, (seed, idx))
+            same = int(counts[0] + counts[3])
+            e = same / n - (n - same) / n
             var = (1.0 - e * e) / n
         correlations.append(e)
         variances.append(var)

@@ -7,17 +7,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eprsim import cli, sampler
 from eprsim.pathbench import BOB_OUTCOMES, PATH_OUTCOMES, AliceMode, PathConfig
 from eprsim.polarization import POLAR_OUTCOMES, PolarizationConfig, polar_joint_probabilities
 from eprsim.sampler import (
     CHUNK_EVENTS,
     SamplerSpec,
     _chunk_codes,
-    empirical_joint,
+    _chunk_counts,
+    _sample_codes,
     empirical_marginals,
     estimate_chsh,
     events_table,
     sample_outcome_codes,
+    sample_outcome_counts,
 )
 
 from conftest import rows
@@ -118,7 +121,7 @@ class TestSampledStatistics:
         )
         result = sample_outcome_codes(spec)
         assert all(result.labels()[int(c)] == "B1" for c in result.codes)
-        marg = empirical_marginals(result)
+        marg = empirical_marginals(sample_outcome_counts(spec))
         assert (marg.p_b1, marg.p_b0) == (1.0, 0.0)
 
     def test_polar_hh_frequency_within_five_sigma(self):
@@ -127,20 +130,20 @@ class TestSampledStatistics:
         )
         p_hh = polar_joint_probabilities(0.0, math.pi / 8).as_tuple()[0]
         assert p_hh == pytest.approx((1.0 - math.sqrt(2) / 2) / 4, abs=1e-15)
-        freq = empirical_joint(sample_outcome_codes(spec))[0]
+        freq = (sample_outcome_counts(spec) / spec.n)[0]
         se = math.sqrt(p_hh * (1.0 - p_hh) / spec.n)
         assert abs(freq - p_hh) < 5 * se
 
     def test_joint_frequencies_track_probabilities(self):
         spec = SamplerSpec(config=PATH_SPEC.config, n=200_000, seed=2)
-        freqs = empirical_joint(sample_outcome_codes(spec))
+        freqs = sample_outcome_counts(spec) / spec.n
         for freq, p in zip(freqs, spec.probabilities()):
             se = math.sqrt(p * (1.0 - p) / spec.n)
             assert abs(freq - p) < 5 * se
 
     def test_path_marginal_flat_at_zero_entanglement(self):
         spec = SamplerSpec(config=PATH_SPEC.config, n=200_000, seed=4)
-        marg = empirical_marginals(sample_outcome_codes(spec))
+        marg = empirical_marginals(sample_outcome_counts(spec))
         assert abs(marg.p_b1 - 0.5) < 5 * marg.se_b1
         assert marg.n == spec.n
 
@@ -161,17 +164,14 @@ class TestSampledStatistics:
         result = sample_outcome_codes(SamplerSpec(config=config, n=10_000, seed=9))
         labels = np.array(result.labels())[result.codes].tolist()
         count_b1 = sum(label.endswith(self.BOB_UPPER) for label in labels)
-        marg = empirical_marginals(result)
+        marg = empirical_marginals(sample_outcome_counts(result.spec))
         assert 0 < count_b1 < 10_000
         assert (marg.p_b1, marg.p_b0, marg.n) == (count_b1 / 10_000, 1 - count_b1 / 10_000, 10_000)
 
     def test_empty_stream_has_no_marginals(self):
         spec = SamplerSpec(config=POLAR_SPEC.config, n=0, seed=0)
-        result = sample_outcome_codes(spec)
         with pytest.raises(ValueError, match="empty"):
-            empirical_marginals(result)
-        with pytest.raises(ValueError, match="empty"):
-            empirical_joint(result)
+            empirical_marginals(sample_outcome_counts(spec))
 
 
 class TestEventRecords:
@@ -294,3 +294,93 @@ class TestDraw:
         above = u >= 0.5
         assert 0.45 < above.mean() < 0.55
         assert (codes[above] == 1).all()
+
+
+def bincount_of_codes(probabilities, count: int, entropy: tuple[int, ...]) -> np.ndarray:
+    """The oracle for the counts kernel: the histogram of the codes it stands in for."""
+    codes = _chunk_codes(np.cumsum(probabilities), count, entropy)
+    return np.bincount(codes, minlength=len(probabilities))
+
+
+class TestCounts:
+    ZERO_AND_SHORT = [
+        (0.5, 0.5),
+        (0.1, 0.2, 0.3, 0.4),
+        (0.0, 0.25, 0.25, 0.5),
+        (0.25, 0.0, 0.25, 0.5),
+        (0.25, 0.25, 0.5, 0.0),
+        (0.0, 1.0),
+        (1.0, 0.0),
+        (0.2, 0.3),
+        (0.1, 0.2, 0.3, 0.3),
+        (0.25, 0.25, 0.25, 0.25 - 2.0 ** -53),
+    ]
+
+    @pytest.mark.parametrize("count", [1, CHUNK_EVENTS, CHUNK_EVENTS + 1])
+    @pytest.mark.parametrize("probabilities", ZERO_AND_SHORT)
+    def test_chunk_counts_are_the_codes_bincount(self, probabilities, count):
+        counts = _chunk_counts(np.cumsum(probabilities), count, (3, 1))
+        assert counts.dtype == np.int64
+        assert counts.tolist() == bincount_of_codes(probabilities, count, (3, 1)).tolist()
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(distributions(), st.integers(0, 5000), st.integers(0, 2**32))
+    def test_chunk_counts_match_on_any_distribution(self, probabilities, count, seed):
+        counts = _chunk_counts(np.cumsum(probabilities), count, (seed, 0))
+        assert counts.tolist() == bincount_of_codes(probabilities, count, (seed, 0)).tolist()
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    @pytest.mark.parametrize("config", [POLAR_SPEC.config, PATH_SPEC.config,
+                                        PathConfig(0.3, 0.0, 1.1, AliceMode.BEAM_STOP)],
+                             ids=["polar", "mz", "stop"])
+    def test_sample_outcome_counts_are_the_streams_bincount(self, config, workers):
+        spec = SamplerSpec(config=config, n=3 * CHUNK_EVENTS + 17, seed=3)
+        codes = sample_outcome_codes(spec, workers=1).codes
+        want = np.bincount(codes, minlength=len(spec.outcome_labels()))
+        assert sample_outcome_counts(spec, workers=workers).tolist() == want.tolist()
+
+    def test_zero_events_count_zero_of_each(self):
+        spec = SamplerSpec(config=POLAR_SPEC.config, n=0, seed=0)
+        assert sample_outcome_counts(spec).tolist() == [0, 0, 0, 0]
+
+    @pytest.mark.parametrize("n", [1, 100_003])
+    def test_chsh_correlations_are_the_code_means(self, n):
+        # the estimator's e from counts has the bits of the mean over the codes
+        est = estimate_chsh(TestChshEstimate.STANDARD, n=n, seed=4)
+        a, b, ap, bp = TestChshEstimate.STANDARD
+        for idx, ((ta, tb), e) in enumerate(zip(((a, b), (a, bp), (ap, b), (ap, bp)),
+                                               est.correlations)):
+            codes = _sample_codes(polar_joint_probabilities(0.0, ta - tb).as_tuple(), n, (4, idx))
+            same = (codes == 0) | (codes == 3)
+            assert e == float(same.mean() - (~same).mean())
+
+
+class TestStatisticsWithoutCodes:
+    @pytest.fixture
+    def no_codes(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a statistic built a code array")
+        monkeypatch.setattr(sampler, "_chunk_codes", refuse)
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_summary(self, no_codes, workers, capsys):
+        argv = ["sample", "--bench", "mz", "--alpha", "pi/8", "--bs-a", "in",
+                "--n", str(3 * CHUNK_EVENTS), "--summary", "--workers", workers]
+        assert cli.main(argv) == 0
+        header, row = capsys.readouterr().out.splitlines()
+        assert header == "n,p_b1,p_b0,se_b1,se_b0"
+        assert row.startswith(f"{3 * CHUNK_EVENTS},")
+
+    def test_sampled_chsh(self, no_codes, capsys):
+        assert cli.main(["chsh", "--n", "200000"]) == 0
+        header, row = capsys.readouterr().out.splitlines()
+        assert header.startswith("s_value,std_error,n_per_setting,")
+        assert row.split(",")[2] == "200000"
+
+    def test_listing_still_builds_codes(self, no_codes):
+        with pytest.raises(AssertionError, match="code array"):
+            cli.main(["sample", "--n", "5"])
+
+    def test_empty_summary_is_an_error(self, capsys):
+        assert cli.main(["sample", "--n", "0", "--summary"]) == 1
+        assert "empty event stream" in capsys.readouterr().err

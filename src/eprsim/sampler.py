@@ -109,12 +109,12 @@ def _chunk_counts(cumulative: np.ndarray, count: int, entropy: tuple[int, ...]) 
 
 
 def _per_chunk(kernel, probabilities: tuple[float, ...], n: int,
-               entropy_base: tuple[int, ...], workers: int) -> list:
+               entropy_base: tuple[int, ...], workers: int) -> list[np.ndarray]:
     """kernel(cumulative, count, entropy) of each chunk of n events, in chunk order."""
     cumulative = np.cumsum(probabilities)
     n_chunks = (n + CHUNK_EVENTS - 1) // CHUNK_EVENTS
 
-    def one(i: int):
+    def one(i: int) -> np.ndarray:
         count = min(CHUNK_EVENTS, n - i * CHUNK_EVENTS)
         return kernel(cumulative, count, entropy_base + (i,))
 
@@ -145,7 +145,7 @@ def sample_outcome_codes(spec: SamplerSpec, workers: int = 1) -> SampleResult:
 
 
 def sample_outcome_counts(spec: SamplerSpec, workers: int = 1) -> np.ndarray:
-    """Each outcome's count among spec.n events in label order, as codes' bincount."""
+    """Each outcome's count among spec.n events, in label order: the codes' bincount."""
     return _sample_counts(spec.probabilities(), spec.n, (spec.seed,), workers)
 
 

@@ -22,6 +22,7 @@ amplitude functions, which hold complex numbers as (real, imaginary) pairs.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +47,18 @@ def _require_angle(value: float, name: str) -> float:
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value!r}")
     return float(value)
+
+
+def _check_integer(name: str, value: object) -> None:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _check_count(name: str, value: object, minimum: int) -> None:
+    """Raise a ValueError naming ``name`` unless ``value`` is an integer >= ``minimum``."""
+    _check_integer(name, value)
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
 
 
 def _raise_where(bad, value, error) -> None:

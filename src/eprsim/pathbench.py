@@ -43,7 +43,6 @@ from .core import (
     joint_distribution,
     moduli_squared,
     source_coefficients,
-    _require_angle,
 )
 from .output import Table, grid_table
 
@@ -129,21 +128,6 @@ def _probabilities(alpha, phi_a, phi_b, mode: AliceMode):
     return joint, joint.bob_marginal()
 
 
-def bob_outcome_amplitudes(
-    alpha: float, phi_b: float
-) -> tuple[tuple[complex, complex], tuple[complex, complex]]:
-    """Amplitude for each (Alice path, Bob detector) pair.
-
-    Element [k][j] is the joint amplitude for the photon pair taking
-    Alice's path k+1 while Bob's interferometer fires detector (B1, B0)[j].
-    Sums of |amplitude|^2 over k give Bob's singles; the same table feeds
-    the wedge bench where Alice's paths stay spatially resolved.
-    """
-    g, _ = _amplitudes(_require_angle(alpha, "alpha"), 0.0, canonical_angle(phi_b, "phi_b"),
-                       AliceMode.BEAM_STOP)
-    return tuple(tuple(complex(*z) for z in row) for row in g)
-
-
 def mz_joint_amplitudes(
     alpha: float, phi_a: float, phi_b: float, mode: AliceMode = AliceMode.SPLITTER_IN
 ) -> tuple[complex, complex, complex, complex]:
@@ -161,33 +145,10 @@ def mz_joint_probabilities(
 ) -> JointDistribution:
     """Coincidence distribution from the modulus-squared amplitudes.
 
-    The amplitudes are the single source of truth here; see
-    ``uncorrected_mz_joint_probabilities`` for the closed forms they
-    replace and why.
+    The amplitudes are the single source of truth here: the paper's printed
+    closed forms do not sum to one, and the tests keep them to show it.
     """
     return _probabilities(alpha, phi_a, phi_b, _check_mode(mode, joint=True))[0]
-
-
-def uncorrected_mz_joint_probabilities(
-    alpha: float, phi_a: float, phi_b: float
-) -> tuple[float, float, float, float]:
-    """Earlier SPLITTER_IN closed forms, kept for regression only.
-
-    For generic phases these four expressions do not sum to one (the
-    deficit is [sin(phi_a) - sin(2 alpha)] sin(phi_b) / 2), so they are
-    returned as a bare tuple rather than a JointDistribution.  The A1B1
-    and A0B0 entries agree with the amplitude route; A1B0 and A0B1 do not.
-    """
-    s2a = math.sin(2.0 * alpha)
-    c2a = math.cos(2.0 * alpha)
-    sa, ca = math.sin(phi_a), math.cos(phi_a)
-    sb, cb = math.sin(phi_b), math.cos(phi_b)
-    x = c2a * ca * cb
-    p11 = (1.0 - sa * (s2a + sb) - x + s2a * sb) / 4.0
-    p10 = (1.0 - s2a * (sa + sb) + x + s2a * sb) / 4.0
-    p01 = (1.0 + s2a * (sa + sb) + x + s2a * sb) / 4.0
-    p00 = (1.0 - sb * (s2a + sa) - x + s2a * sa) / 4.0
-    return (p11, p10, p01, p00)
 
 
 def mz_bob_marginals(

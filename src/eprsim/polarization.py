@@ -58,8 +58,8 @@ class PolarizationConfig:
 def _amplitudes(alpha, theta):
     """Coincidence amplitudes (HH, HV, VH, VV) as (real, imaginary) pairs.
 
-    The VH amplitude uses sin(alpha) in its second term; the cos(alpha)
-    variant kept in ``uncorrected_vh_amplitude`` breaks normalization.
+    The VH amplitude uses sin(alpha) in its second term; the printed cos(alpha)
+    variant, which the tests keep, breaks normalization.
     """
     alpha, theta = canonical_angle(alpha, "alpha"), canonical_angle(theta, "theta")
     xp = array_namespace(alpha, theta)
@@ -75,19 +75,6 @@ def polar_joint_amplitudes(
 ) -> tuple[complex, complex, complex, complex]:
     """Coincidence amplitudes (HH, HV, VH, VV) at analyzer angle theta."""
     return tuple(complex(re, im) for re, im in _amplitudes(alpha, theta))
-
-
-def uncorrected_vh_amplitude(alpha: float, theta: float) -> complex:
-    """Earlier closed form of the VH amplitude, kept for regression only.
-
-    Its modulus square is cos(alpha)^2 / 2 for every theta, which
-    contradicts the VH coincidence rate and breaks the square-sum of the
-    four amplitudes.  Do not use outside the regression suite.
-    """
-    cfg = PolarizationConfig(alpha=alpha, theta=theta)
-    ca = math.cos(cfg.alpha)
-    ct, st = math.cos(cfg.theta), math.sin(cfg.theta)
-    return complex(ca * ct, -ca * st) / SQRT2
 
 
 def polar_joint_probabilities(alpha: float, theta: float) -> JointDistribution:

@@ -14,11 +14,11 @@ n: only the event listing holds codes.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
+from .core import _check_count, _check_integer
 from .output import Table
 from .pathbench import (
     BOB_OUTCOMES,
@@ -31,11 +31,6 @@ from .pathbench import (
 from .polarization import POLAR_OUTCOMES, PolarizationConfig, polar_joint_probabilities
 
 CHUNK_EVENTS = 65536
-
-
-def _check_integer(name: str, value: object) -> None:
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -111,6 +106,7 @@ def _chunk_counts(cumulative: np.ndarray, count: int, entropy: tuple[int, ...]) 
 def _per_chunk(kernel, probabilities: tuple[float, ...], n: int,
                entropy_base: tuple[int, ...], workers: int) -> list[np.ndarray]:
     """kernel(cumulative, count, entropy) of each chunk of n events, in chunk order."""
+    _check_count("workers", workers, 1)
     cumulative = np.cumsum(probabilities)
     n_chunks = (n + CHUNK_EVENTS - 1) // CHUNK_EVENTS
 
@@ -127,9 +123,8 @@ def _per_chunk(kernel, probabilities: tuple[float, ...], n: int,
 
 def _sample_codes(probabilities: tuple[float, ...], n: int, entropy_base: tuple[int, ...],
                   workers: int = 1) -> np.ndarray:
-    if n == 0:
-        return np.empty(0, dtype=np.uint8)
-    return np.concatenate(_per_chunk(_chunk_codes, probabilities, n, entropy_base, workers))
+    chunks = _per_chunk(_chunk_codes, probabilities, n, entropy_base, workers)
+    return np.concatenate(chunks) if chunks else np.empty(0, dtype=np.uint8)
 
 
 def _sample_counts(probabilities: tuple[float, ...], n: int, entropy_base: tuple[int, ...],

@@ -46,9 +46,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import _require_angle, array_namespace, canonical_angle
+from .core import _check_count, _require_angle, array_namespace, canonical_angle
 from .output import Table, grid_table
-from .pathbench import AliceMode, _amplitudes, bob_outcome_amplitudes, expected_bob_marginals
+from .pathbench import AliceMode, _amplitudes, expected_bob_marginals
 
 MIN_SAMPLES = 64
 MIN_APERTURE_SIGMAS = 5.0
@@ -129,8 +129,7 @@ class WedgeGeometry:
         if not (math.isfinite(self.tilt_angle) and self.tilt_angle >= 0):
             raise ValueError("tilt_angle must be finite and non-negative")
         for name in ("samples_aperture", "samples_detector"):
-            if getattr(self, name) < MIN_SAMPLES:
-                raise ValueError(f"{name} must be >= {MIN_SAMPLES}")
+            _check_count(name, getattr(self, name), MIN_SAMPLES)
         object.__setattr__(
             self, "samples_aperture", _round_up_odd(self.samples_aperture)
         )
@@ -294,12 +293,19 @@ def _propagated_fields(geom: WedgeGeometry) -> tuple[BeamProfile, BeamProfile]:
     return f1, f2
 
 
+def _bob_table(alpha: float, phi_b):
+    """The path bench's g[k][j] (Alice's path k+1, Bob's detector (B1, B0)[j]) as
+    (real, imaginary) pairs: alpha as given, phi_b reduced into [0, 2*pi)."""
+    return _amplitudes(_require_angle(alpha, "alpha"), 0.0, canonical_angle(phi_b, "phi_b"),
+                       AliceMode.BEAM_STOP)[0]
+
+
 def joint_densities_at_detector(alpha: float, phi_a: float, phi_b: float,
                                 geom: WedgeGeometry) -> tuple[np.ndarray, np.ndarray]:
     """(|A_B1(x)|^2, |A_B0(x)|^2) on the detector grid: coherent over Alice's
     two paths, incoherent between Bob outcomes."""
     phase = np.exp(1j * canonical_angle(phi_a, "phi_a"))
-    g = bob_outcome_amplitudes(alpha, phi_b)
+    g = [[complex(*pair) for pair in row] for row in _bob_table(alpha, phi_b)]
     f1, f2 = _propagated_fields(geom)
     return tuple(np.abs(phase * f1.field * g[0][j] + f2.field * g[1][j]) ** 2 for j in (0, 1))
 
@@ -352,10 +358,8 @@ def _bob_singles(alpha: float, phi_a, phi_b, geom: WedgeGeometry):
     phi_a = canonical_angle(phi_a, "phi_a")
     xp = array_namespace(phi_a)
     c, s = xp.cos(phi_a), xp.sin(phi_a)
-    g, _ = _amplitudes(_require_angle(alpha, "alpha"), 0.0, canonical_angle(phi_b, "phi_b"),
-                       AliceMode.BEAM_STOP)
     singles = []
-    for (a_re, a_im), (b_re, b_im) in zip(*g):
+    for (a_re, a_im), (b_re, b_im) in zip(*_bob_table(alpha, phi_b)):
         p_re, p_im = a_re * b_re + a_im * b_im, a_im * b_re - a_re * b_im  # g_1j g_2j*
         q_re, q_im = c * p_re - s * p_im, c * p_im + s * p_re  # times e^{i phi_a}
         value, step = ((a_re * a_re + a_im * a_im) * n1 + (b_re * b_re + b_im * b_im) * n2

@@ -19,13 +19,13 @@ from eprsim.pathbench import (
     expected_bob_marginals,
     mz_bob_marginals,
     mz_joint_probabilities,
-    uncorrected_mz_joint_probabilities,
 )
 from eprsim.polarization import polar_joint_probabilities
 from eprsim.sampler import estimate_chsh
 from eprsim.wedge import WedgeGeometry, signal_difference_map
 
 from conftest import record, rows
+from legacy_forms import uncorrected_mz_joint_probabilities
 
 
 def _verdict(ok: bool) -> str:

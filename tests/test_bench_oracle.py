@@ -20,7 +20,7 @@ import math
 import numpy as np
 import pytest
 
-from eprsim import pathbench, polarization
+from eprsim import pathbench, polarization, wedge
 from eprsim.core import canonical_angle
 from eprsim.pathbench import AliceMode
 
@@ -185,10 +185,10 @@ class TestMzOracle:
         assert np.array_equal(bits(array_probs), bits(probs))
 
 
-def test_bob_outcome_amplitudes_keep_alpha_as_given():
+def test_wedge_bob_table_keeps_alpha_as_given():
     # the wedge bench passes alpha uncanonicalized; only phi_b is reduced
     for alpha, _, phi_b in RNG_ANGLES.tolist():
-        assert bits(pathbench.bob_outcome_amplitudes(alpha, phi_b)).tolist() == \
+        assert bits(wedge._bob_table(alpha, phi_b)).tolist() == \
             bits(Frozen.bob_amplitudes(alpha, phi_b)).tolist()
 
 

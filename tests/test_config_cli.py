@@ -255,6 +255,12 @@ class TestAudits:
         report = _audit("x", 1.0, ([10, 20, 30, 40],), diff)
         assert (report.max_deviation, report.worst_at, report.configurations) == (0.3, (30,), 4)
 
+    @pytest.mark.parametrize("grid", [0, -3, 2.5, True, None])
+    @pytest.mark.parametrize("audit", [audit_polar, audit_mz, audit_wedge])
+    def test_rejects_a_grid_below_one_or_not_an_integer(self, audit, grid):
+        with pytest.raises(ValueError, match="^grid must be"):
+            audit(grid=grid)
+
     def test_wedge_audit_grid_of_one_is_one_cell(self):
         report = audit_wedge(grid=1, geometry=WedgeGeometry(**SMALL_GEOMETRY))
         assert report.configurations == 2  # alpha = phi_b = 0, two phi_a

@@ -8,17 +8,17 @@ from eprsim.pathbench import (
     PATH_OUTCOMES,
     AliceMode,
     PathConfig,
-    bob_outcome_amplitudes,
     expected_bob_marginals,
     mz_bob_marginals,
     mz_joint_amplitudes,
     mz_joint_probabilities,
     mz_marginal_sweep,
     mz_sweep,
-    uncorrected_mz_joint_probabilities,
 )
+from eprsim.wedge import _bob_table
 
 from conftest import rows
+from legacy_forms import uncorrected_mz_joint_probabilities
 
 SQRT2 = math.sqrt(2.0)
 
@@ -175,8 +175,8 @@ class TestBobMarginals:
             assert vis == pytest.approx(abs(math.sin(2 * alpha)), abs=1e-3)
 
     def test_beam_stop_uses_source_side_sum(self):
-        g = bob_outcome_amplitudes(0.4, 1.1)
-        by_hand_b1 = abs(g[0][0]) ** 2 + abs(g[1][0]) ** 2
+        g = _bob_table(0.4, 1.1)
+        by_hand_b1 = abs(complex(*g[0][0])) ** 2 + abs(complex(*g[1][0])) ** 2
         m = mz_bob_marginals(0.4, 99.0, 1.1, AliceMode.BEAM_STOP)
         assert m.p_b1 == pytest.approx(by_hand_b1, abs=1e-12)
 

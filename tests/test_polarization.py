@@ -9,10 +9,10 @@ from eprsim.polarization import (
     polar_joint_amplitudes,
     polar_joint_probabilities,
     polar_sweep,
-    uncorrected_vh_amplitude,
 )
 
 from conftest import rows
+from legacy_forms import uncorrected_vh_amplitude
 
 SQRT2 = math.sqrt(2.0)
 

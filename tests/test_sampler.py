@@ -60,7 +60,8 @@ class TestSamplerSpec:
 
     def test_zero_count_allowed(self):
         spec = SamplerSpec(config=PolarizationConfig(0.0, 0.0), n=0, seed=0)
-        assert len(sample_outcome_codes(spec).codes) == 0
+        codes = sample_outcome_codes(spec).codes
+        assert len(codes) == 0 and codes.dtype == np.uint8
 
     def test_outcome_labels_per_bench(self):
         assert POLAR_SPEC.outcome_labels() == ("HH", "HV", "VH", "VV")
@@ -109,6 +110,23 @@ class TestDeterminism:
             SamplerSpec(config=POLAR_SPEC.config, n=2 * CHUNK_EVENTS, seed=5)
         )
         assert np.array_equal(long.codes[:CHUNK_EVENTS], short.codes)
+
+
+class TestWorkers:
+    @pytest.mark.parametrize("sample", [sample_outcome_codes, sample_outcome_counts])
+    @pytest.mark.parametrize("n", [0, 10, 3 * CHUNK_EVENTS])
+    @pytest.mark.parametrize("workers", [0, -2, 2.5, 2.0, True, "2", None])
+    def test_rejects_a_non_positive_or_non_integer_count(self, sample, n, workers):
+        spec = SamplerSpec(config=POLAR_SPEC.config, n=n, seed=0)
+        with pytest.raises(ValueError, match="^workers must be"):
+            sample(spec, workers=workers)
+
+    def test_numpy_integer_allowed(self):
+        spec = SamplerSpec(config=POLAR_SPEC.config, n=3 * CHUNK_EVENTS + 17, seed=3)
+        assert np.array_equal(sample_outcome_codes(spec, workers=np.int64(2)).codes,
+                              sample_outcome_codes(spec).codes)
+        assert sample_outcome_counts(spec, workers=np.uint8(3)).tolist() == \
+            sample_outcome_counts(spec).tolist()
 
 
 class TestSampledStatistics:

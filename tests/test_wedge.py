@@ -82,6 +82,12 @@ class TestGeometry:
             dict(wavelength=math.inf),
             dict(propagation_distance=math.inf),
             dict(detector_halfwidth=math.inf),
+            dict(samples_aperture=4097.0),
+            dict(samples_aperture=math.nan),
+            dict(samples_aperture=4097.5),
+            dict(samples_detector=16385.0),
+            dict(samples_detector=True),
+            dict(samples_detector="16385"),
         ],
     )
     def test_rejects_bad_fields(self, bad):
@@ -91,10 +97,19 @@ class TestGeometry:
     @pytest.mark.parametrize("bad, named", [
         (dict(beam_sigma=math.inf), "beam_sigma must be positive and finite"),
         (dict(aperture_halfwidth=math.nan), "aperture_halfwidth must be >= 5 beam sigmas"),
+        (dict(samples_aperture=4097.0), "samples_aperture must be an integer, got 4097.0"),
+        (dict(samples_aperture=math.nan), "samples_aperture must be an integer, got nan"),
+        (dict(samples_aperture=4097.5), "samples_aperture must be an integer, got 4097.5"),
+        (dict(samples_detector=True), "samples_detector must be an integer, got True"),
+        (dict(samples_detector=10), "samples_detector must be >= 64, got 10"),
     ])
     def test_names_the_bad_field(self, bad, named):
         with pytest.raises(ValueError, match=named):
             WedgeGeometry(**bad)
+
+    def test_numpy_integer_sample_counts_allowed(self):
+        got = WedgeGeometry(samples_aperture=np.int64(100), samples_detector=np.int32(100))
+        assert got == WedgeGeometry(samples_aperture=100, samples_detector=100)
 
     def test_hashable_for_caching(self):
         assert hash(WedgeGeometry()) == hash(WedgeGeometry())

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _check_count, _check_integer
+from .core import _check_count
 from .output import Table
 from .pathbench import (
     BOB_OUTCOMES,
@@ -44,12 +44,8 @@ class SamplerSpec:
     def __post_init__(self) -> None:
         if not isinstance(self.config, (PolarizationConfig, PathConfig)):
             raise ValueError(f"config must be a bench config, got {self.config!r}")
-        _check_integer("n", self.n)
-        _check_integer("seed", self.seed)
-        if self.n < 0:
-            raise ValueError(f"need a non-negative event count, got {self.n}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
+        _check_count("n", self.n, 0)
+        _check_count("seed", self.seed, 0)
 
     def outcome_labels(self) -> tuple[str, ...]:
         if isinstance(self.config, PolarizationConfig):
@@ -192,12 +188,8 @@ def estimate_chsh(
     if len(angles) != 4:
         raise ValueError("angles must be (a, b, a_prime, b_prime)")
     if n is not None:
-        _check_integer("n", n)
-        if n <= 0:
-            raise ValueError(f"need a positive sample count, got {n}")
-    _check_integer("seed", seed)
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
+        _check_count("n", n, 1)
+    _check_count("seed", seed, 0)
     a, b, ap, bp = angles
     pairs = ((a, b), (a, bp), (ap, b), (ap, bp))
     correlations = []

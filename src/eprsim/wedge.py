@@ -99,8 +99,8 @@ class WedgeGeometry:
         s = self.beam_sigma
         if not (0.0 < self.wavelength < math.inf and 0.0 < s < math.inf):
             raise ValueError("wavelength and beam_sigma must be positive and finite")
-        if not 0.0 <= self.propagation_distance < math.inf:
-            raise ValueError("propagation_distance must be finite and non-negative")
+        if not 0.0 < self.propagation_distance < math.inf:
+            raise ValueError("propagation_distance must be positive and finite")
         if self.aperture_halfwidth is None:
             object.__setattr__(self, "aperture_halfwidth", 10.0 * s)
         if not self.aperture_halfwidth >= MIN_APERTURE_SIGMAS * s:  # NaN fails too
@@ -124,8 +124,7 @@ class WedgeGeometry:
         if not 0.0 < self.detector_halfwidth < math.inf:
             raise ValueError("detector_halfwidth must be positive and finite")
         if self.tilt_angle is None:
-            z = self.propagation_distance
-            object.__setattr__(self, "tilt_angle", self.apex_offset / z if z > 0 else 0.0)
+            object.__setattr__(self, "tilt_angle", self.apex_offset / self.propagation_distance)
         if not (math.isfinite(self.tilt_angle) and self.tilt_angle >= 0):
             raise ValueError("tilt_angle must be finite and non-negative")
         for name in ("samples_aperture", "samples_detector"):
@@ -230,17 +229,13 @@ def fresnel_propagate(
     (the constant e^{ikz} factor, common to both beams, is dropped),
     evaluated as a chirp-z transform by Bluestein's FFT convolution in
     O((N + M) log(N + M)) for N aperture and M detector samples.  A
-    positive tilt displaces the arriving beam by +z * tilt.  Zero
-    distance returns the profile unchanged.  Raises SamplingError when
-    the input spacing violates the Nyquist bound for the kernel's
-    instantaneous frequency over the two grids.
+    positive tilt displaces the arriving beam by +z * tilt.  Raises
+    SamplingError when the input spacing violates the Nyquist bound for
+    the kernel's instantaneous frequency over the two grids.
     """
     lam = geom.wavelength
     z = geom.propagation_distance
-    if not math.isfinite(tilt):
-        raise ValueError("tilt must be finite")
-    if z == 0.0:
-        return profile
+    tilt = _require_angle(tilt, "tilt")
     x_out = detector_grid(geom)
     x_in = profile.grid
     k = 2.0 * math.pi / lam
@@ -250,7 +245,7 @@ def fresnel_propagate(
         abs(z * tilt - (x_out[0] - x_in[-1])),
         abs(z * tilt - (x_out[-1] - x_in[0])),
     )
-    dx_max = lam * z / (2.0 * sep) if sep > 0 else math.inf
+    dx_max = lam * z / (2.0 * sep)
     if profile.spacing > dx_max:
         span = float(x_in[-1] - x_in[0])
         needed = _round_up_odd(int(math.ceil(span / dx_max)) + 1)

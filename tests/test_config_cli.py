@@ -635,6 +635,15 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert err.startswith("error:") and named in err
 
+    @pytest.mark.parametrize("argv", [["wedge"], ["wedge", "--profile"], ["diffmap"],
+                                      ["audit", "--bench", "wedge"]])
+    def test_zero_propagation_distance(self, argv, capsys):
+        # rejected by the geometry before any propagation starts
+        assert main([*argv, "--geom", "propagation_distance=0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "propagation_distance must be positive and finite" in captured.err
+
     def test_help_exits_0(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["sample", "--help"])

@@ -39,7 +39,7 @@ class TestSamplerSpec:
             SamplerSpec(config=(0.0, 0.1), n=10, seed=0)
 
     def test_rejects_negative_count(self):
-        with pytest.raises(ValueError, match="non-negative event count"):
+        with pytest.raises(ValueError, match="^n must be >= 0, got -1$"):
             SamplerSpec(config=PolarizationConfig(0.0, 0.0), n=-1, seed=0)
 
     def test_rejects_negative_seed(self):
@@ -246,7 +246,7 @@ class TestChshEstimate:
             estimate_chsh((0.0, 1.0, 2.0), n=None)
 
     def test_rejects_nonpositive_sample_count(self):
-        with pytest.raises(ValueError, match="positive sample count"):
+        with pytest.raises(ValueError, match="^n must be >= 1, got 0$"):
             estimate_chsh(self.STANDARD, n=0)
 
     @pytest.mark.parametrize("value", [True, False, 2.5, 1e6, "10"])
@@ -258,7 +258,7 @@ class TestChshEstimate:
             estimate_chsh(self.STANDARD, **values)
 
     def test_rejects_negative_seed(self):
-        with pytest.raises(ValueError, match="^seed must be non-negative, got -1$"):
+        with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
             estimate_chsh(self.STANDARD, n=10, seed=-1)
 
 

@@ -64,9 +64,12 @@ def _linspace(stop: float, count: int) -> list[float]:
     return [i * step for i in range(count)]
 
 
-def _audit_axes(grid: int, stop: float) -> tuple[list[float], list[float]]:
-    """An audit's alpha axis over [0, pi/2] and its other axis over [0, stop], grid points each."""
+def _audit_axes(grid: int, tolerance: float, stop: float) -> tuple[list[float], list[float]]:
+    """An audit's alpha axis over [0, pi/2] and its other axis over [0, stop], grid points
+    each; an infinite tolerance would pass any finite deviation, so it is rejected."""
     _check_count("grid", grid, 1)
+    if not 0.0 <= tolerance < math.inf:  # NaN fails too
+        raise ValueError(f"tolerance must be finite and >= 0, got {tolerance!r}")
     return _linspace(math.pi / 2, grid), _linspace(stop, grid)
 
 
@@ -86,7 +89,7 @@ def _audit(bench, tolerance, axes, diff, at=lambda *point: point) -> NoSignalRep
 
 def audit_polar(grid: int = 200, tolerance: float = 1e-12) -> NoSignalReport:
     """Bob's polarization marginals must be (1/2, 1/2) for every setting."""
-    alphas, thetas = _audit_axes(grid, math.pi)
+    alphas, thetas = _audit_axes(grid, tolerance, math.pi)
     theta = np.array(thetas)
     bob = [polarization.polar_bob_marginals(alpha, theta).as_tuple() for alpha in alphas]
     return _audit("polar", tolerance, (alphas, thetas), np.stack(bob, axis=1) - 0.5)
@@ -94,7 +97,7 @@ def audit_polar(grid: int = 200, tolerance: float = 1e-12) -> NoSignalReport:
 
 def audit_mz(grid: int = 50, tolerance: float = 1e-12) -> NoSignalReport:
     """Bob's path marginals must not depend on phi_a or on Alice's mode."""
-    alphas, phis = _audit_axes(grid, 2 * math.pi)
+    alphas, phis = _audit_axes(grid, tolerance, 2 * math.pi)
     phi_a, modes = np.array(phis), list(AliceMode)
     phi_b = phi_a[:, None]
 
@@ -113,7 +116,7 @@ def audit_wedge(grid: int = 3, tolerance: float = 1e-4,
                 geometry: WedgeGeometry | None = None) -> NoSignalReport:
     """Integrated wedge singles must track the phi_a-free closed form."""
     geom = geometry if geometry is not None else WedgeGeometry()
-    alphas, phis_b = _audit_axes(grid, 2 * math.pi)
+    alphas, phis_b = _audit_axes(grid, tolerance, 2 * math.pi)
     phis_a = (0.0, math.pi / 2)
     phi_a, phi_b = np.array(phis_a), np.array(phis_b)[:, None]
 

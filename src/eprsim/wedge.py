@@ -41,7 +41,7 @@ residual this bench puts a number on.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 
 import numpy as np
@@ -96,6 +96,12 @@ class WedgeGeometry:
     samples_detector: int = 16385
 
     def __post_init__(self) -> None:
+        for field in fields(self):  # a bool is an int, so it would pass as a 1 or a 0
+            value = getattr(self, field.name)
+            if field.type == "int":
+                _check_count(field.name, value, MIN_SAMPLES)
+            elif isinstance(value, (bool, np.bool_)):
+                raise ValueError(f"{field.name} must be a number, got {value!r}")
         s = self.beam_sigma
         if not (0.0 < self.wavelength < math.inf and 0.0 < s < math.inf):
             raise ValueError("wavelength and beam_sigma must be positive and finite")
@@ -127,8 +133,6 @@ class WedgeGeometry:
             object.__setattr__(self, "tilt_angle", self.apex_offset / self.propagation_distance)
         if not (math.isfinite(self.tilt_angle) and self.tilt_angle >= 0):
             raise ValueError("tilt_angle must be finite and non-negative")
-        for name in ("samples_aperture", "samples_detector"):
-            _check_count(name, getattr(self, name), MIN_SAMPLES)
         object.__setattr__(
             self, "samples_aperture", _round_up_odd(self.samples_aperture)
         )

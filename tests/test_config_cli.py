@@ -261,6 +261,12 @@ class TestAudits:
         with pytest.raises(ValueError, match="^grid must be"):
             audit(grid=grid)
 
+    @pytest.mark.parametrize("tolerance", [math.inf, math.nan, -1e-300])
+    @pytest.mark.parametrize("audit", [audit_polar, audit_mz, audit_wedge])
+    def test_rejects_a_tolerance_not_finite_or_below_zero(self, audit, tolerance):
+        with pytest.raises(ValueError, match="^tolerance must be finite and >= 0, got "):
+            audit(grid=2, tolerance=tolerance)
+
     def test_wedge_audit_grid_of_one_is_one_cell(self):
         report = audit_wedge(grid=1, geometry=WedgeGeometry(**SMALL_GEOMETRY))
         assert report.configurations == 2  # alpha = phi_b = 0, two phi_a
@@ -702,10 +708,15 @@ class TestAuditInputs:
         captured = capsys.readouterr()
         assert captured.out == "" and "tolerance: must be >= 0, got " in captured.err
 
-    def test_infinite_tolerance_is_kept(self, capsys):
-        assert main(["audit", "--bench", "polar", "--grid", "5", "--tolerance", "inf"]) == 0
-        assert "[PASS] polar" in capsys.readouterr().out
-        # a NaN deviation still fails under it
+    @pytest.mark.parametrize("bench", ["polar", "mz", "wedge", "all"])
+    def test_infinite_tolerance_is_a_usage_error(self, bench, capsys):
+        # it would pass any finite deviation
+        assert main(["audit", "--bench", bench, "--grid", "5", "--tolerance", "inf"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: tolerance must be finite and >= 0, got inf\n"
+
+    def test_nan_deviation_fails_under_an_infinite_tolerance(self):
         assert not _audit("x", math.inf, ([0.0],), np.array([[math.nan], [0.0]])).passed
 
     def test_none_keeps_each_audit_default(self):

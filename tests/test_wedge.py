@@ -26,6 +26,8 @@ from conftest import rows
 SIGMA = 3e-4
 
 # shared small geometries; repeated construction hits the propagation cache
+FLOAT_FIELDS = ("wavelength", "beam_sigma", "propagation_distance", "aperture_halfwidth",
+                "apex_offset", "detector_halfwidth", "tilt_angle")
 SMALL = dict(beam_sigma=SIGMA, samples_aperture=2049, samples_detector=8193)
 TRUNCATED = WedgeGeometry(**SMALL)
 # default tilt steers the off-axis beam back to the detector center,
@@ -104,10 +106,17 @@ class TestGeometry:
         (dict(samples_aperture=4097.5), "samples_aperture must be an integer, got 4097.5"),
         (dict(samples_detector=True), "samples_detector must be an integer, got True"),
         (dict(samples_detector=10), "samples_detector must be >= 64, got 10"),
+        *((dict([(name, flag)]), f"^{name} must be a number, got {flag!r}$")
+          for name in FLOAT_FIELDS for flag in (True, False, np.True_)),
     ])
     def test_names_the_bad_field(self, bad, named):
         with pytest.raises(ValueError, match=named):
             WedgeGeometry(**bad)
+
+    def test_int_and_numpy_float_fields_allowed(self):
+        got = WedgeGeometry(wavelength=np.float64(810e-9), beam_sigma=np.float64(1e-3),
+                            propagation_distance=1, detector_halfwidth=np.float64(12e-3))
+        assert got == WedgeGeometry(detector_halfwidth=12e-3)
 
     def test_numpy_integer_sample_counts_allowed(self):
         got = WedgeGeometry(samples_aperture=np.int64(100), samples_detector=np.int32(100))

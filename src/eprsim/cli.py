@@ -171,14 +171,10 @@ def _cmd_diffmap(args) -> Table:
     return wedge.signal_difference_map(*grid, args.phi_a, make_geometry(args.geom))
 
 
-def _sampler_config(args):
-    if args.bench == "polar":
-        return polarization.PolarizationConfig(args.alpha, args.theta)
-    return pathbench.PathConfig(args.alpha, args.phi_a, args.phi_b, AliceMode(args.mode))
-
-
 def _cmd_sample(args) -> Table:
-    spec = sampler.SamplerSpec(_sampler_config(args), n=args.n, seed=args.seed)
+    config = (polarization.PolarizationConfig(args.alpha, args.theta) if args.bench == "polar"
+              else pathbench.PathConfig(args.alpha, args.phi_a, args.phi_b, AliceMode(args.mode)))
+    spec = sampler.SamplerSpec(config, n=args.n, seed=args.seed)
     if args.summary:
         marg = sampler.empirical_marginals(sampler.sample_outcome_counts(spec, args.workers))
         return Table.from_rows(

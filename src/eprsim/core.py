@@ -44,19 +44,17 @@ class UnitarityError(ValueError):
 
 
 def _require_angle(value: float, name: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):  # numpy floats are Real
+        raise ValueError(f"{name} must be a number, got {value!r}")
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value!r}")
     return float(value)
 
 
-def _check_integer(name: str, value: object) -> None:
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-
-
 def _check_count(name: str, value: object, minimum: int) -> None:
     """Raise a ValueError naming ``name`` unless ``value`` is an integer >= ``minimum``."""
-    _check_integer(name, value)
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < minimum:
         raise ValueError(f"{name} must be >= {minimum}, got {value}")
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _check_count
+from .core import _check_count, _require_angle
 from .output import Table
 from .pathbench import (
     BOB_OUTCOMES,
@@ -117,12 +117,6 @@ def _per_chunk(kernel, probabilities: tuple[float, ...], n: int,
     return [one(i) for i in range(n_chunks)]
 
 
-def _sample_codes(probabilities: tuple[float, ...], n: int, entropy_base: tuple[int, ...],
-                  workers: int = 1) -> np.ndarray:
-    chunks = _per_chunk(_chunk_codes, probabilities, n, entropy_base, workers)
-    return np.concatenate(chunks) if chunks else np.empty(0, dtype=np.uint8)
-
-
 def _sample_counts(probabilities: tuple[float, ...], n: int, entropy_base: tuple[int, ...],
                    workers: int = 1) -> np.ndarray:
     counts = _per_chunk(_chunk_counts, probabilities, n, entropy_base, workers)
@@ -131,8 +125,8 @@ def _sample_counts(probabilities: tuple[float, ...], n: int, entropy_base: tuple
 
 def sample_outcome_codes(spec: SamplerSpec, workers: int = 1) -> SampleResult:
     """Draw spec.n outcome codes; identical stream for any worker count."""
-    codes = _sample_codes(spec.probabilities(), spec.n, (spec.seed,), workers)
-    return SampleResult(spec=spec, codes=codes)
+    chunks = _per_chunk(_chunk_codes, spec.probabilities(), spec.n, (spec.seed,), workers)
+    return SampleResult(spec, np.concatenate(chunks) if chunks else np.empty(0, np.uint8))
 
 
 def sample_outcome_counts(spec: SamplerSpec, workers: int = 1) -> np.ndarray:
@@ -190,7 +184,7 @@ def estimate_chsh(
     if n is not None:
         _check_count("n", n, 1)
     _check_count("seed", seed, 0)
-    a, b, ap, bp = angles
+    a, b, ap, bp = (_require_angle(angle, "angles") for angle in angles)
     pairs = ((a, b), (a, bp), (ap, b), (ap, bp))
     correlations = []
     variances = []

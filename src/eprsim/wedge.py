@@ -213,7 +213,10 @@ def truncated_aperture_field(geom: WedgeGeometry, path: int) -> BeamProfile:
         lo = c - UNTRUNCATED_SUPPORT_SIGMAS * s
         hi = c + UNTRUNCATED_SUPPORT_SIGMAS * s
     x = np.linspace(lo, hi, geom.samples_aperture)
-    field = (2.0 * math.pi * s * s) ** (-0.25) * np.exp(-((x - c) ** 2) / (4.0 * s * s))
+    # libm's exp, one sample at a time: numpy's SIMD exp can differ from it in the last
+    # bit, and the output bytes would then depend on the CPU numpy dispatches to
+    gauss = np.fromiter(map(math.exp, (-((x - c) ** 2) / (4.0 * s * s)).tolist()), float, len(x))
+    field = (2.0 * math.pi * s * s) ** (-0.25) * gauss
     if path == 2:
         x = -x[::-1]
         field = field[::-1]
@@ -283,10 +286,26 @@ def fresnel_propagate(
     return BeamProfile(grid=x_out, field=field)
 
 
+def _check_fringes(geom: WedgeGeometry) -> None:
+    """Raise SamplingError unless the detector grid takes POINTS_PER_FRINGE samples per
+    fringe period lambda / (2 tilt) of the two beams' crossing."""
+    if geom.tilt_angle > 0.0:
+        x = detector_grid(geom)
+        dx = float(x[1] - x[0])
+        period = geom.wavelength / (2.0 * geom.tilt_angle)
+        if dx > period / POINTS_PER_FRINGE:
+            needed = int(math.ceil(2.0 * geom.detector_halfwidth * POINTS_PER_FRINGE / period))
+            raise SamplingError(f"detector spacing {dx:.3e} m undersamples the "
+                                f"{period:.3e} m fringe period",
+                                required_samples=_round_up_4m1(needed + 1))
+
+
 @lru_cache(maxsize=16)
 def _propagated_fields(geom: WedgeGeometry) -> tuple[BeamProfile, BeamProfile]:
     # The fields do not depend on (alpha, phi_a, phi_b), so one propagation
-    # per geometry serves a whole parameter sweep.
+    # per geometry serves a whole parameter sweep.  A grid too coarse for the
+    # fringes fails here, before a propagation onto it fails the norm check.
+    _check_fringes(geom)
     f1 = fresnel_propagate(truncated_aperture_field(geom, 1), geom, tilt=-geom.tilt_angle)
     f2 = fresnel_propagate(truncated_aperture_field(geom, 2), geom, tilt=+geom.tilt_angle)
     return f1, f2
@@ -315,13 +334,6 @@ def _richardson(density: np.ndarray, geom: WedgeGeometry):
     if density.shape[-1] != len(x):
         raise ValueError(f"density has {density.shape[-1]} samples, detector grid has {len(x)}")
     dx = float(x[1] - x[0])
-    if geom.tilt_angle > 0.0:
-        period = geom.wavelength / (2.0 * geom.tilt_angle)
-        if dx > period / POINTS_PER_FRINGE:
-            needed = int(math.ceil(2.0 * geom.detector_halfwidth * POINTS_PER_FRINGE / period))
-            raise SamplingError(f"detector spacing {dx:.3e} m undersamples the "
-                                f"{period:.3e} m fringe period",
-                                required_samples=_round_up_4m1(needed + 1))
     fine = _simpson(density, dx)
     step = (fine - _simpson(density[..., ::2], 2.0 * dx)) / 15.0
     return fine + step, step
@@ -338,6 +350,7 @@ def integrate_detector(density: np.ndarray, geom: WedgeGeometry) -> QuadratureRe
     P_B1 by 8.9e-13.  Requires >= 32 samples per fringe period (period
     lambda / (2 tilt) from the beam crossing angle).
     """
+    _check_fringes(geom)
     value, step = _richardson(density, geom)
     return QuadratureResult(value=float(value), error_estimate=abs(float(step)))
 

@@ -650,6 +650,22 @@ class TestUsageErrors:
         assert captured.out == ""
         assert "propagation_distance must be positive and finite" in captured.err
 
+    @pytest.mark.parametrize("argv", [["wedge"], ["wedge", "--profile"],
+                                      ["audit", "--bench", "wedge"]])
+    def test_coarse_detector_grid(self, argv, capsys):
+        # too few samples per fringe period, named before a propagation onto the grid
+        assert main([*argv, "--geom", "samples_detector=65"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: detector spacing ")
+        assert captured.err.endswith(" fringe period; need at least 9485 samples\n")
+
+    def test_coarse_detector_grid_gives_a_nan_map(self, capsys):
+        assert main(["diffmap", "--grid", "2", "--geom", "samples_detector=65"]) == 0
+        _, *lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 4
+        assert all(line.split(",")[2:] == ["nan"] * 4 for line in lines)
+
     def test_help_exits_0(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["sample", "--help"])
@@ -801,6 +817,25 @@ class TestReadme:
 
 
 class TestStartup:
+    @staticmethod
+    def run_module(*argv):
+        """``python -m eprsim argv`` in a subprocess, with this package on its path."""
+        path = os.pathsep.join(filter(None, [str(Path(eprsim.__file__).parents[1]),
+                                             os.environ.get("PYTHONPATH")]))
+        return subprocess.run([sys.executable, "-m", "eprsim", *argv], capture_output=True,
+                              text=True, env={**os.environ, "PYTHONPATH": path}, timeout=60)
+
+    def test_module_exit_codes(self, capsys):
+        done = self.run_module("chsh")
+        assert main(["chsh"]) == 0
+        assert (done.returncode, done.stdout) == (0, capsys.readouterr().out), done.stderr
+        done = self.run_module("sample", "--n", "-5")
+        assert (done.returncode, done.stdout) == (1, "")
+        assert done.stderr.startswith("error: ")
+        done = self.run_module("audit", "--bench", "mz", "--grid", "5", "--tolerance", "1e-300")
+        assert done.returncode == 2, done.stderr
+        assert done.stdout.startswith("[FAIL] mz: ")
+
     def test_parser_loads_neither_json_nor_threads(self):
         # imported where they are used: JSON output or config, more than one worker
         code = ("import sys, eprsim.cli; eprsim.cli.build_parser(); "

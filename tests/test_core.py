@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -144,6 +145,16 @@ class TestCanonicalAngle:
             canonical_angle(math.inf, "x")
         with pytest.raises(ValueError, match="x must be finite, got nan"):
             canonical_angle(np.array([0.0, math.nan]), "x")
+
+    @pytest.mark.parametrize("value", ["1", None, True, np.True_, 1j])
+    def test_rejects_a_non_number(self, value):
+        message = f"^x must be a number, got {re.escape(repr(value))}$"
+        with pytest.raises(ValueError, match=message):
+            canonical_angle(value, "x")
+
+    def test_numpy_floats_and_ints_pass(self):
+        assert canonical_angle(np.float32(0.5), "x") == 0.5
+        assert canonical_angle(np.int64(1), "x") == 1.0
 
     @pytest.mark.parametrize("tiny", [-1e-300, -1e-17, -5e-324])
     def test_tiny_negative_angle_is_zero_not_two_pi(self, tiny):

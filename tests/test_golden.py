@@ -17,7 +17,12 @@ change updates them together with a note in CHANGES.md.
 
 Wedge, diffmap and the wedge audit run on the small ``SMALL_GEOM``
 geometry of ``test_config_cli.GEOM_FLAGS`` so the whole file takes
-seconds.
+seconds.  Their digests must not depend on the SIMD level numpy
+dispatches to: ``test_wedge_digests_below_avx512`` reruns the wedge
+tables in a subprocess with numpy's AVX-512 kernels switched off.  The
+wedge digests were re-pinned once, when the aperture Gaussian moved from
+``np.exp`` to libm's ``exp``, to the bytes numpy printed without
+AVX-512 before that change.
 
 ``frozen_wedge_outputs.json`` holds the full stdout of the wedge-derived
 commands (the wedge point, diffmap and wedge audits, at generic settings
@@ -41,13 +46,17 @@ column's peak, and the columns and row count must stay the same.
 import gzip
 import hashlib
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import eprsim
 from eprsim.cli import main
 from eprsim.sampler import CHUNK_EVENTS
 
@@ -104,16 +113,16 @@ TABLES = {
         (0, '3aff76713e35c3283942ba960601dfea1b62f6a23246be94aaca802f308fb8ff'),
     ),
     f"wedge --alpha pi/4 --phi-b pi/2 {SMALL_GEOM}": (
-        (0, 'bf4d0fe32c017dec2faaa4feebeb2e1ee14897dd6eaf9124e745a15647d5a027'),
-        (0, '0c9db878598959db92a361019f3a47335ab9e3b58d7d2c962f25e9ed68c49811'),
+        (0, '92cde0123d18b860565e7c41ddaa9e45445169f7f87667314a681b017915123d'),
+        (0, 'fde742887eded65301edc17f1cdd6724d848836e78d3153526b26cec12598bbe'),
     ),
     f"wedge --alpha pi/4 --profile {SMALL_GEOM}": (
-        (0, 'ff782c97db62e829f949cd3c7ca26b9cd7f75a72c0a9ffdb88e26a7671569f1b'),
-        (0, '0563ab06cb984ad32f28c0bf0c4f42f8a2dcda6ce5bd80ee25cbdfc8717d4a2b'),
+        (0, '2273a49dcab2333f8c63ead21685d7efa17c0a1415c35127dab17eff70d3cde6'),
+        (0, 'a614a9b9ad1a52712d2dd634f30779ce3a32c51b1d52d9f179c489463c18187e'),
     ),
     f"diffmap --grid 2 --phi-a pi/2 {SMALL_GEOM}": (
-        (0, 'f015499d320c2d466cd0d3c178912d87a9e5fb9e4562481cb7acdde7fb43cd26'),
-        (0, '8eb761130f8240eb33df0299f4c361d3cea2fcec5493a2544d96ddef6a9d998a'),
+        (0, 'b4255b5b62af085450f7cdff44bc11a00346dbcb2a0ee4161952036af46c4921'),
+        (0, '8bcc954e63e9d672812e82e78aa7844b75eefdec550cd9df72ae62401904d03c'),
     ),
     "sample --bench polar --theta pi/8 --n 40 --seed 7": (
         (0, '333b4cce4ee001f0a04614cf9678860dd27487ab5935144c01710e5ba28c7c13'),
@@ -201,6 +210,32 @@ def run_digest(command: str, capsys) -> tuple[int, str]:
 @pytest.mark.parametrize("command", sorted(CASES))
 def test_output_digest(command, capsys):
     assert run_digest(command, capsys) == CASES[command]
+
+
+# numpy's dispatch without its AVX-512 kernels, set for one subprocess: AVX2 and FMA3 stay on
+BELOW_AVX512 = "X86_V4 AVX512_ICL AVX512_SPR"
+_PRINT_DIGESTS = """
+import contextlib, hashlib, io, shlex, sys
+from eprsim.cli import main
+for command in sys.argv[1:]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(shlex.split(command))
+    print(code, hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest())
+"""
+
+
+def test_wedge_digests_below_avx512():
+    wedge = {f"{cmd} --format {fmt}": want for cmd, pair in TABLES.items() if SMALL_GEOM in cmd
+             for fmt, want in zip(("csv", "json"), pair)}
+    path = os.pathsep.join(filter(None, [str(Path(eprsim.__file__).parents[1]),
+                                         os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path, "NPY_DISABLE_CPU_FEATURES": BELOW_AVX512}
+    done = subprocess.run([sys.executable, "-c", _PRINT_DIGESTS, *wedge], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    got = [tuple(line.split()) for line in done.stdout.splitlines()]
+    assert got == [(str(code), digest) for code, digest in wedge.values()]
 
 
 HERE = Path(__file__).parent

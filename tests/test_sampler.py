@@ -15,7 +15,7 @@ from eprsim.sampler import (
     SamplerSpec,
     _chunk_codes,
     _chunk_counts,
-    _sample_codes,
+    _per_chunk,
     empirical_marginals,
     estimate_chsh,
     events_table,
@@ -249,6 +249,12 @@ class TestChshEstimate:
         with pytest.raises(ValueError, match="^n must be >= 1, got 0$"):
             estimate_chsh(self.STANDARD, n=0)
 
+    @pytest.mark.parametrize("value", ["a", None, True])
+    @pytest.mark.parametrize("n", [None, 10])
+    def test_rejects_an_angle_that_is_not_a_number(self, value, n):
+        with pytest.raises(ValueError, match=f"^angles must be a number, got {value!r}$"):
+            estimate_chsh((value, 0.0, 0.0, 0.0), n=n)
+
     @pytest.mark.parametrize("value", [True, False, 2.5, 1e6, "10"])
     @pytest.mark.parametrize("field", ["n", "seed"])
     def test_rejects_bool_and_non_integer(self, field, value):
@@ -368,7 +374,8 @@ class TestCounts:
         a, b, ap, bp = TestChshEstimate.STANDARD
         for idx, ((ta, tb), e) in enumerate(zip(((a, b), (a, bp), (ap, b), (ap, bp)),
                                                est.correlations)):
-            codes = _sample_codes(polar_joint_probabilities(0.0, ta - tb).as_tuple(), n, (4, idx))
+            probabilities = polar_joint_probabilities(0.0, ta - tb).as_tuple()
+            codes = np.concatenate(_per_chunk(_chunk_codes, probabilities, n, (4, idx), 1))
             same = (codes == 0) | (codes == 3)
             assert e == float(same.mean() - (~same).mean())
 

@@ -1,5 +1,6 @@
 """Config parsing and the command line front end."""
 
+import ast
 import json
 import math
 import os
@@ -818,12 +819,21 @@ class TestReadme:
 
 class TestStartup:
     @staticmethod
-    def run_module(*argv):
-        """``python -m eprsim argv`` in a subprocess, with this package on its path."""
+    def run_python(*argv, **env):
+        """``python argv`` in a subprocess, with this package on its path.
+
+        ``env`` sets variables for it; a value of None unsets one.
+        """
         path = os.pathsep.join(filter(None, [str(Path(eprsim.__file__).parents[1]),
                                              os.environ.get("PYTHONPATH")]))
-        return subprocess.run([sys.executable, "-m", "eprsim", *argv], capture_output=True,
-                              text=True, env={**os.environ, "PYTHONPATH": path}, timeout=60)
+        env = {key: value for key, value in {**os.environ, **env, "PYTHONPATH": path}.items()
+               if value is not None}
+        return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env,
+                              timeout=60)
+
+    def run_module(self, *argv, **env):
+        """``python -m eprsim argv`` in a subprocess."""
+        return self.run_python("-m", "eprsim", *argv, **env)
 
     def test_module_exit_codes(self, capsys):
         done = self.run_module("chsh")
@@ -838,10 +848,52 @@ class TestStartup:
 
     def test_parser_loads_neither_json_nor_threads(self):
         # imported where they are used: JSON output or config, more than one worker
-        code = ("import sys, eprsim.cli; eprsim.cli.build_parser(); "
-                "print(sorted({'json', 'concurrent.futures'} & set(sys.modules)))")
-        path = os.pathsep.join(filter(None, [str(Path(eprsim.__file__).parents[1]),
-                                             os.environ.get("PYTHONPATH")]))
-        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                              env={**os.environ, "PYTHONPATH": path}, timeout=60)
+        done = self.run_python("-c", "import sys, eprsim.cli; eprsim.cli.build_parser(); "
+                               "print(sorted({'json', 'concurrent.futures'} & set(sys.modules)))")
         assert (done.returncode, done.stdout) == (0, "[]\n"), done.stderr
+
+    def test_package_import_loads_nothing(self):
+        # each public name loads its module on first use, so numpy starts after __main__ runs
+        done = self.run_python("-c", "import sys, eprsim; "
+                               "print(sorted(name for name in sys.modules "
+                               "if name == 'numpy' or name.startswith('eprsim.'))); "
+                               "print(eprsim.AliceMode.__module__, eprsim.WedgeGeometry.__module__, "
+                               "hasattr(eprsim, 'no_such_name'))")
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "[]\neprsim.pathbench eprsim.wedge False\n"
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+    def test_entry_point_starts_no_blas_threads(self):
+        done = self.run_python("-c", "import os, sys; from eprsim.__main__ import main; "
+                               "sys.argv = ['eprsim', 'chsh']; main(); "
+                               "print(len(os.listdir('/proc/self/task')))",
+                               OPENBLAS_NUM_THREADS="4")
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "1"
+
+    def test_blas_threads_leave_output_alone(self):
+        outputs = {blas: self.run_module("chsh", OPENBLAS_NUM_THREADS=blas)
+                   for blas in (None, "1", "4")}
+        assert {done.returncode for done in outputs.values()} == {0}
+        assert len({done.stdout for done in outputs.values()}) == 1
+
+    def test_source_makes_no_blas_call(self):
+        # the premise of the single-thread cap in eprsim/__main__.py
+        blas = {"dot", "matmul", "einsum", "tensordot", "inner", "vdot", "linalg", "lstsq",
+                "polyfit"}
+        found = []
+        for path in sorted(Path(eprsim.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Name):
+                    names = {node.id}
+                elif isinstance(node, ast.Attribute):
+                    names = {node.attr}
+                elif isinstance(node, ast.alias):
+                    names = set(node.name.split("."))
+                elif isinstance(node, ast.ImportFrom):
+                    names = set((node.module or "").split("."))
+                else:
+                    names = {"@"} if isinstance(getattr(node, "op", None), ast.MatMult) else set()
+                found += [f"{path.name}:{node.lineno}: {name}" for name in names & (blas | {"@"})]
+        assert found == [], ("a BLAS call was added; drop the single-thread cap in "
+                             f"eprsim/__main__.py or justify it: {found}")

@@ -2,11 +2,14 @@
 
 CSV uses '.' as the decimal separator and 17 significant digits for
 floats so round-tripping through text preserves the double exactly and
-repeated runs are byte-identical.  Tables are columnar: CSV is rendered
-column by column in blocks of rows, each written out as it is rendered,
-and a block's float columns format each distinct 64-bit pattern once
-between them.  A column printing one text throughout a block is formatted
-once, inside the fixed string of separators between the varying cells.
+repeated runs are byte-identical.  CSV is rendered in blocks of rows,
+each written out as one Python string.  A block is a 2-D byte matrix, a
+row per table row, with one fixed-width slot of UTF-8 bytes per varying
+cell, ``PAD`` past the end of its text; a column printing one text
+throughout the block is formatted once, into the fixed bytes between the
+slots.  PAD bytes are dropped only from a block with a padded slot.  Int
+and ASCII str cells take no Python object per cell, and a block's float
+cells format each distinct 64-bit pattern once.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ import numpy as np
 
 FLOAT_FORMAT = "%.17g"
 BLOCK_ROWS = 8192
+PAD = 0xFF  # fills a slot past the end of its text: UTF-8 never uses this byte
 
 
 @dataclass(frozen=True)
@@ -67,24 +71,58 @@ def grid_table(columns: tuple[str, ...], axes: tuple, values) -> Table:
     return Table(columns, (*points, *cells))
 
 
-def _float_texts(columns: list[np.ndarray]) -> list[list[str]]:
-    """Equal-length float columns' CSV texts as float64, one format per distinct 64-bit
-    pattern across them all (keying on the value would merge -0.0 with 0.0, split NaNs)."""
-    bits = np.array(columns, dtype=np.float64).view(np.uint64)
+def _text_slot(texts: list[str]) -> tuple[np.ndarray, bool]:
+    """Each text's UTF-8 bytes as one row, PAD past its end; and whether any row is padded."""
+    data = "".join(texts).encode()
+    lengths = np.fromiter(map(len, texts if data.isascii() else map(str.encode, texts)), np.intp)
+    text = np.arange(lengths.max()) < lengths[:, None]
+    cells = np.full(text.shape, PAD, np.uint8)
+    cells[text] = np.frombuffer(data, np.uint8)  # row by row, each text from its row's start
+    return cells, bool(lengths.min() < cells.shape[1])
+
+
+def _float_slots(columns: list[np.ndarray]) -> list[tuple[np.ndarray, bool]]:
+    """Float columns' slots as float64, one format per distinct 64-bit pattern across
+    them all (keying on the value would merge -0.0 with 0.0, split NaNs)."""
+    bits = np.concatenate(columns, dtype=np.float64).view(np.uint64)
     unique, inverse = np.unique(bits, return_inverse=True)
-    texts = np.array([FLOAT_FORMAT % v for v in unique.view(np.float64).tolist()], dtype=object)
-    return texts[inverse].reshape(bits.shape).tolist()
+    texts, padded = _text_slot([FLOAT_FORMAT % v for v in unique.view(np.float64).tolist()])
+    rows = np.split(inverse, np.cumsum([len(column) for column in columns[:-1]]))
+    return [(np.take(texts, row, axis=0), padded) for row in rows]
 
 
-def _texts(column: np.ndarray) -> list[str]:
-    """Each cell's CSV text, a float cell's by ``_float_texts``."""
+def _int_slot(column: np.ndarray, lo: int, hi: int) -> tuple[np.ndarray, bool]:
+    """Right-aligned digits of ints in [lo, hi] within ±10**18; a '-' position if lo < 0."""
+    digits = len(str(max(-lo, hi)))
+    cells = np.empty((digits + (lo < 0), len(column)), np.uint8)  # one row per position
+    q = magnitude = np.abs(column.astype(np.int64)).astype(np.uint32 if digits < 10 else np.uint64)
+    for k in range(1, digits + 1):
+        q, cells[-k] = np.divmod(q, 10)
+    cells += ord("0")
+    places = np.array([10 ** k for k in range(digits - 1, 0, -1)] + [0], magnitude.dtype)
+    cells[-digits:][magnitude < places[:, None]] = PAD  # leading zeros
+    cells[:-digits] = np.where(column < 0, ord("-"), PAD)  # no row unless lo < 0
+    return cells.T, lo < 0 <= hi or len(str(lo)) != len(str(hi))
+
+
+def _slot(column: np.ndarray) -> tuple[np.ndarray, bool]:
+    """A non-float column's slot: each cell's CSV text as a row of UTF-8 bytes, PAD past
+    its end; and whether any cell is padded."""
     kind = column.dtype.kind
-    if kind == "f":
-        return _float_texts([column])[0]
     if kind == "b":
-        return np.where(column, "true", "false").tolist()
-    cells = column.tolist()
-    return cells if kind == "U" else list(map(str, cells))
+        return _text_slot(["false", "true"])[0][column.astype(np.intp)], True
+    if kind in "iu":
+        lo, hi = int(column.min()), int(column.max())
+        if -10**18 < lo and hi < 10**18:
+            return _int_slot(column, lo, hi)
+    if kind == "U":
+        codes = np.ascontiguousarray(column).view(np.uint32).reshape(len(column), -1)
+        if codes.max() < 128:  # ASCII: a byte per code point
+            cells, padded = codes.astype(np.uint8), not codes[:, -1].all()
+            if padded:  # trailing NULs, which a numpy str drops; inner ones are text
+                cells[np.arange(cells.shape[1]) >= np.char.str_len(column)[:, None]] = PAD
+            return cells, padded
+    return _text_slot(list(map(str, column.tolist())))
 
 
 def _constant(column: np.ndarray) -> bool:
@@ -101,20 +139,22 @@ def _csv_blocks(table: Table):
     for start in range(0, len(table), BLOCK_ROWS):
         block = [column[start:start + BLOCK_ROWS] for column in table.data]
         varying = [not _constant(column) for column in block]
-        varying_floats = [c for c, vary in zip(block, varying) if vary and c.dtype.kind == "f"]
-        floats = iter(_float_texts(varying_floats) if varying_floats else [])
-        # a row: varying cells, fixed strings of separators and constant cells between
-        parts = [""]
-        for column, vary, sep in zip(block, varying, [","] * (len(block) - 1) + ["\n"]):
-            if not vary:
-                parts[-1] += _texts(column[:1])[0] + sep
+        shown = [column if vary else column[:1] for column, vary in zip(block, varying)]
+        floats = [column for column in shown if column.dtype.kind == "f"]
+        floats = iter(_float_slots(floats) if floats else [])
+        # a row: varying slots, fixed bytes of separators and constant cells between
+        parts, padded = [b""], False
+        for column, vary, sep in zip(shown, varying, [b","] * (len(block) - 1) + [b"\n"]):
+            slot, pad = next(floats) if column.dtype.kind == "f" else _slot(column)
+            if vary:
+                parts += [slot, sep]
+                padded |= pad
             else:
-                parts += [next(floats) if column.dtype.kind == "f" else _texts(column), sep]
-        parts = [part for part in parts if part]
-        cells = [""] * (len(parts) * len(column))  # one join per block
-        for k, part in enumerate(parts):
-            cells[k::len(parts)] = [part] * len(column) if isinstance(part, str) else part
-        yield "".join(cells)
+                parts[-1] += slot[slot != PAD].tobytes() + sep
+        n = len(block[0])
+        rows = np.concatenate([np.broadcast_to(np.frombuffer(part, np.uint8), (n, len(part)))
+                               if isinstance(part, bytes) else part for part in parts], axis=1)
+        yield (rows[rows != PAD] if padded else rows).tobytes().decode()
 
 
 def render_csv(table: Table) -> str:

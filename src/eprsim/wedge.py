@@ -41,6 +41,7 @@ residual this bench puts a number on.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, fields
 from functools import lru_cache
 
@@ -105,6 +106,8 @@ class WedgeGeometry:
         s = self.beam_sigma
         if not (0.0 < self.wavelength < math.inf and 0.0 < s < math.inf):
             raise ValueError("wavelength and beam_sigma must be positive and finite")
+        if s * s < sys.float_info.min:  # the aperture Gaussian divides by it
+            raise ValueError(f"beam_sigma {s!r} is too small: its square is not a normal double")
         if not 0.0 < self.propagation_distance < math.inf:
             raise ValueError("propagation_distance must be positive and finite")
         if self.aperture_halfwidth is None:
@@ -294,7 +297,10 @@ def _check_fringes(geom: WedgeGeometry) -> None:
         dx = float(x[1] - x[0])
         period = geom.wavelength / (2.0 * geom.tilt_angle)
         if dx > period / POINTS_PER_FRINGE:
-            needed = int(math.ceil(2.0 * geom.detector_halfwidth * POINTS_PER_FRINGE / period))
+            needed = 2.0 * geom.detector_halfwidth * POINTS_PER_FRINGE / period
+            if not math.isfinite(needed):
+                raise ValueError(f"no sample count can resolve the {period:.3e} m fringe period")
+            needed = int(math.ceil(needed))
             raise SamplingError(f"detector spacing {dx:.3e} m undersamples the "
                                 f"{period:.3e} m fringe period",
                                 required_samples=_round_up_4m1(needed + 1))

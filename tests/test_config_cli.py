@@ -661,6 +661,19 @@ class TestUsageErrors:
         assert captured.err.startswith("error: detector spacing ")
         assert captured.err.endswith(" fringe period; need at least 9485 samples\n")
 
+    @pytest.mark.parametrize("argv", [["wedge"], ["wedge", "--profile"], ["diffmap", "--grid", "2"],
+                                      ["audit", "--bench", "wedge"]])
+    @pytest.mark.parametrize("sigma, message", [
+        ("5e-324", "beam_sigma 5e-324 is too small"),  # its square underflows to 0
+        ("1e-160", "beam_sigma 1e-160 is too small"),  # its square is subnormal
+        ("1e300", "no sample count can resolve the 8.100e-308 m fringe period"),
+    ])
+    def test_extreme_beam_sigma(self, argv, sigma, message, capsys):
+        assert main([*argv, "--geom", f"beam_sigma={sigma}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and message in captured.err
+
     def test_coarse_detector_grid_gives_a_nan_map(self, capsys):
         assert main(["diffmap", "--grid", "2", "--geom", "samples_detector=65"]) == 0
         _, *lines = capsys.readouterr().out.splitlines()

@@ -5,8 +5,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from eprsim.output import BLOCK_ROWS, Table, _constant, emit_table, render_csv, render_json
+from eprsim.output import (BLOCK_ROWS, FLOAT_FORMAT, Table, _constant, emit_table, render_csv,
+                           render_json)
 from eprsim.pathbench import AliceMode
 
 from conftest import rows
@@ -184,6 +187,116 @@ class TestSharedFloats:
         payloads = tables["nan_payloads"]
         assert np.isnan(payloads["a"][::2]).all()
         assert set(payloads["a"][::2].view(np.uint64)) != set(payloads["b"][::2].view(np.uint64))
+
+
+def cell_texts(column: np.ndarray) -> list[str]:
+    """Each cell's CSV text, one Python value at a time: floats by FLOAT_FORMAT,
+    bools in lower case, everything else by str."""
+    if column.dtype.kind == "f":
+        return [FLOAT_FORMAT % v for v in column.astype(np.float64).tolist()]
+    if column.dtype.kind == "b":
+        return [str(v).lower() for v in column.tolist()]
+    return [str(v) for v in column.tolist()]
+
+
+def reference_csv(columns: dict[str, np.ndarray]) -> str:
+    rows = zip(*map(cell_texts, columns.values()))
+    return "".join([",".join(columns) + "\n", *(",".join(row) + "\n" for row in rows)])
+
+
+def assert_cells(columns: dict[str, np.ndarray]) -> None:
+    assert render_csv(Table(tuple(columns), tuple(columns.values()))) == reference_csv(columns)
+
+
+INT64 = np.iinfo(np.int64)
+
+
+class TestCells:
+    """Every cell kind's bytes, where a slot is padded and where it is not, against
+    the cell-by-cell reference."""
+
+    @pytest.mark.parametrize("k", range(19))
+    def test_ints_around_powers_of_ten(self, k):
+        near = [10**k - 1, 10**k, 10**k + 1]
+        assert_cells({"pos": np.array(near * 2), "neg": -np.array(near * 2),
+                      "both": np.array(near + [-v for v in near]),
+                      "u": np.array(near * 2, dtype=np.uint64), "i": np.arange(6)})
+
+    @pytest.mark.parametrize("values, dtype", [
+        ([INT64.min, INT64.max, 0, -1], np.int64),
+        ([INT64.min + 1, -1, 7], np.int64),
+        ([-10**18 + 1, 10**18 - 1, 0], np.int64),
+        ([0, 2**64 - 1, 1], np.uint64),
+        ([2**63 - 1, 2**63, 5], np.uint64),
+        ([-128, 127, 0, -1, 9, -10], np.int8),
+        ([0, 255, 10], np.uint8),
+        ([-32768, 32767, 5], np.int16),
+        ([-2**31, 2**31 - 1, 10**9, 999_999_999], np.int32),
+        ([2**32, 10**10 - 1, 0], np.int64),
+        ([0, 2**32 - 1, 10**9], np.uint32),
+    ])
+    def test_int_extremes(self, values, dtype):
+        column = np.array(values, dtype=dtype)
+        assert_cells({"v": column, "w": column[::-1].copy(), "i": np.arange(len(column))})
+
+    def test_strs(self):
+        assert_cells({"any": np.array(["é", "中文", "", "a,b", "a\x00b", "x"]),
+                      "ascii": np.array(["", "a,b", "a\x00b", "x", "\x00a", "abc"]),
+                      "same_width": np.array(["ab", "cd", "a\x00", "ef", "gh", "ij"]),
+                      "label": np.array(["A0B1", "A1B0"] * 3),
+                      "latin": np.array(["é", "ß", "", "ü", "a", "ÿ"])})
+
+    def test_other_kinds(self):
+        modes = list(AliceMode)
+        assert_cells({
+            "object": np.array(["a\x00", modes[0], "", "中", 3, True], dtype=object),
+            "complex": np.array([0j, complex(-0.0, 0.0), 1 + 2j, complex(math.nan, 1), 0j,
+                                 complex(math.inf, -0.0)]),
+            "bool": np.array([True, False, False, True, True, False]),
+            "float": np.array([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1.7976931348623157e308]),
+            "f32": np.array([math.nan, -0.0, 0.1, 1e-45, 3.4e38, -math.inf], dtype=np.float32),
+        })
+
+    def test_index_crossing_a_decade_in_a_block(self):
+        # the first block is all 6-digit indices, unpadded; the second crosses 10**6
+        i = np.arange(BLOCK_ROWS + 100) + (10**6 - BLOCK_ROWS - 50)
+        assert_cells({"index": i, "outcome": np.array(["A0B0", "A1B1", "A0B1"])[i % 3],
+                      "alpha": np.full(len(i), 0.1)})
+        assert_cells({"outcome": np.array(["in", "out", "stop"])[i % 3], "index": -i})
+
+    def test_some_rows_padded(self):
+        i = np.arange(BLOCK_ROWS + 3)
+        assert_cells({"x": np.where(i % 1000 == 0, 1.0 / 3, 0.5), "n": np.where(i < 5, 7, 10),
+                      "s": np.where(i == 17, "", "ab")})
+
+    TEXT = st.characters(blacklist_categories=("Cs",))  # a lone surrogate has no UTF-8
+    KINDS = {
+        "int64": st.integers(INT64.min, INT64.max),
+        "small": st.integers(-10**4, 10**4),
+        "uint64": st.integers(0, 2**64 - 1),
+        "int8": st.integers(-128, 127),
+        "float64": st.floats(),
+        "float32": st.floats(width=32),
+        "bool": st.booleans(),
+        "str": st.text(TEXT, max_size=6),
+        "ascii": st.text(st.characters(max_codepoint=127), max_size=6),
+        "object": st.one_of(st.integers(), st.text(TEXT, max_size=3)),
+        "complex": st.complex_numbers(),
+    }
+    DTYPES = {"uint64": np.uint64, "int8": np.int8, "float32": np.float32, "object": object}
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.lists(st.tuples(st.sampled_from(sorted(KINDS)), st.integers(0, 2**32 - 1)),
+                    min_size=1, max_size=4),
+           st.one_of(st.integers(0, BLOCK_ROWS + 3), st.integers(BLOCK_ROWS - 1, BLOCK_ROWS + 3)),
+           st.data())
+    def test_random_columns(self, kinds, n, data):
+        columns = {}
+        for k, (kind, seed) in enumerate(kinds):
+            pool = data.draw(st.lists(self.KINDS[kind], min_size=1, max_size=5))
+            values = np.array(pool, dtype=self.DTYPES.get(kind))
+            columns[f"c{k}"] = values[np.random.default_rng(seed).integers(0, len(pool), n)]
+        assert_cells(columns)
 
 
 class TestJson:

@@ -20,15 +20,18 @@ import math
 import re
 import sys
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import pathbench, polarization, sampler, wedge
+from . import pathbench, polarization
 from .config import Command, ConfigError, Param, geometry_item, make_geometry, parse_config
 from .core import _check_count
 from .output import Table, emit_table
 from .pathbench import AliceMode
-from .wedge import WedgeGeometry
+
+if TYPE_CHECKING:  # sampler and wedge load in the handlers that use them
+    from .wedge import WedgeGeometry
 
 
 @dataclass(frozen=True)
@@ -90,32 +93,31 @@ def _audit(bench, tolerance, axes, diff, at=lambda *point: point) -> NoSignalRep
 def audit_polar(grid: int = 200, tolerance: float = 1e-12) -> NoSignalReport:
     """Bob's polarization marginals must be (1/2, 1/2) for every setting."""
     alphas, thetas = _audit_axes(grid, tolerance, math.pi)
-    theta = np.array(thetas)
-    bob = [polarization.polar_bob_marginals(alpha, theta).as_tuple() for alpha in alphas]
-    return _audit("polar", tolerance, (alphas, thetas), np.stack(bob, axis=1) - 0.5)
+    bob = polarization.polar_bob_marginals(np.array(alphas)[:, None], np.array(thetas))
+    return _audit("polar", tolerance, (alphas, thetas), np.array(bob.as_tuple()) - 0.5)
 
 
 def audit_mz(grid: int = 50, tolerance: float = 1e-12) -> NoSignalReport:
     """Bob's path marginals must not depend on phi_a or on Alice's mode."""
     alphas, phis = _audit_axes(grid, tolerance, 2 * math.pi)
-    phi_a, modes = np.array(phis), list(AliceMode)
-    phi_b = phi_a[:, None]
+    alpha, phi_a, phi_b = np.array(alphas)[:, None, None], np.array(phis), np.array(phis)[:, None]
 
-    def diff(alpha):  # axes (phi_b, phi_a, mode)
+    def diff(alpha):  # axes (alpha, phi_b, phi_a, mode), for 8 alphas: arrays stay small
         want = np.array(pathbench.expected_bob_marginals(alpha, phi_b).as_tuple())[..., None]
         got = [np.array(pathbench.mz_bob_marginals(alpha, phi_a, phi_b, mode).as_tuple())
-               for mode in modes]  # BEAM_STOP's lack the phi_a axis
+               for mode in AliceMode]  # BEAM_STOP's lack the phi_a axis
         return np.stack(np.broadcast_arrays(*got), axis=-1) - want
 
-    return _audit("mz", tolerance, (alphas, phis, phis, [mode.value for mode in modes]),
-                  np.stack([diff(alpha) for alpha in alphas], axis=1),
+    return _audit("mz", tolerance, (alphas, phis, phis, [mode.value for mode in AliceMode]),
+                  np.concatenate([diff(alpha[i:i + 8]) for i in range(0, grid, 8)], axis=1),
                   lambda alpha, phi_b, phi_a, mode: (alpha, phi_a, phi_b, mode))
 
 
 def audit_wedge(grid: int = 3, tolerance: float = 1e-4,
                 geometry: WedgeGeometry | None = None) -> NoSignalReport:
     """Integrated wedge singles must track the phi_a-free closed form."""
-    geom = geometry if geometry is not None else WedgeGeometry()
+    from . import wedge
+    geom = geometry if geometry is not None else wedge.WedgeGeometry()
     alphas, phis_b = _audit_axes(grid, tolerance, 2 * math.pi)
     phis_a = (0.0, math.pi / 2)
     phi_a, phi_b = np.array(phis_a), np.array(phis_b)[:, None]
@@ -158,6 +160,7 @@ def _cmd_mz(args) -> Table:
 
 
 def _cmd_wedge(args) -> Table:
+    from . import wedge
     geom, settings = make_geometry(args.geom), (args.alpha, args.phi_a, args.phi_b)
     if args.profile:
         return wedge.wedge_profile_table(*settings, geom)
@@ -167,11 +170,13 @@ def _cmd_wedge(args) -> Table:
 
 
 def _cmd_diffmap(args) -> Table:
+    from . import wedge
     grid = (_linspace(math.pi / 2, args.grid), _linspace(2 * math.pi, args.grid))
     return wedge.signal_difference_map(*grid, args.phi_a, make_geometry(args.geom))
 
 
 def _cmd_sample(args) -> Table:
+    from . import sampler
     config = (polarization.PolarizationConfig(args.alpha, args.theta) if args.bench == "polar"
               else pathbench.PathConfig(args.alpha, args.phi_a, args.phi_b, AliceMode(args.mode)))
     spec = sampler.SamplerSpec(config, n=args.n, seed=args.seed)
@@ -185,6 +190,7 @@ def _cmd_sample(args) -> Table:
 
 
 def _cmd_chsh(args) -> Table:
+    from . import sampler
     est = sampler.estimate_chsh(angles=args.angles, n=args.n, seed=args.seed)
     return Table.from_rows(
         ("s_value", "std_error", "n_per_setting", "e_ab", "e_abp", "e_apb", "e_apbp"),
@@ -193,7 +199,8 @@ def _cmd_chsh(args) -> Table:
 
 
 def _cmd_audit(args) -> list[NoSignalReport]:
-    return run_no_signal_audit(args.bench, args.grid, args.tolerance, make_geometry(args.geom))
+    geometry = make_geometry(args.geom) if args.geom else None  # None: the wedge default
+    return run_no_signal_audit(args.bench, args.grid, args.tolerance, geometry)
 
 
 def _angle(name: str, default: str = "0") -> Param:

@@ -15,9 +15,11 @@ import dataclasses
 import math
 import re
 from dataclasses import dataclass, field
-from typing import Callable
+from functools import cache
+from typing import TYPE_CHECKING, Callable
 
-from .wedge import WedgeGeometry
+if TYPE_CHECKING:  # make_geometry loads it: a command without wedge geometry never does
+    from .wedge import WedgeGeometry
 
 _PI_LITERAL = re.compile(
     r"""^\s*(?P<sign>[+-])?\s*
@@ -128,9 +130,11 @@ class Param:
         return value
 
 
-#: One Param per wedge geometry field: the sample counts are integers, the rest numbers.
-_GEOMETRY = {f.name: Param(f.name, "int" if f.type in (int, "int") else "float")
-             for f in dataclasses.fields(WedgeGeometry)}
+@cache
+def _geometry() -> dict[str, Param]:
+    """One Param per wedge geometry field: the sample counts are integers, the rest numbers."""
+    return {f.name: Param(f.name, "int" if f.type in (int, "int") else "float")
+            for f in dataclasses.fields(make_geometry())}
 
 
 @dataclass(frozen=True)
@@ -153,9 +157,9 @@ def _command(bench: str) -> Command:
 
 
 def _coerce_geometry(key: str, raw) -> object:
-    if key not in _GEOMETRY:
-        raise ConfigError(f"unknown geometry field {key!r}; expected one of {sorted(_GEOMETRY)}")
-    return _GEOMETRY[key].coerce(raw)
+    if key not in _geometry():
+        raise ConfigError(f"unknown geometry field {key!r}; expected one of {sorted(_geometry())}")
+    return _geometry()[key].coerce(raw)
 
 
 def _coerce_key(bench: str, command: Command, group: str, name: str, raw) -> object:
@@ -181,6 +185,7 @@ def geometry_item(item: str) -> tuple[str, object]:
 
 def make_geometry(fields=None) -> WedgeGeometry:
     """The wedge geometry with ``fields`` (a dict or key, value pairs) overriding defaults."""
+    from .wedge import WedgeGeometry
     try:
         return WedgeGeometry(**dict(fields or ()))
     except ValueError as exc:
@@ -209,12 +214,13 @@ def _assemble(entries: list[tuple[str, object, str | None]]) -> RunConfig:
     if bench is None:
         raise ConfigError("missing required key 'bench'")
     command = _command(bench)
+    param_keys = {pre + param.name for param in command.params for pre in ("", "parameters.")}
     fields: dict = {"parameters": {}, "geometry": {}}
     seen: set[tuple[str, str]] = set()
     for key, raw, line in entries:
         if key == "bench":
             group, name = key, key
-        elif key.startswith("geometry.") or key in _GEOMETRY:
+        elif key.startswith("geometry.") or key not in param_keys and key in _geometry():
             group, name = "geometry", key.removeprefix("geometry.")
         else:
             group, name = "parameters", key.removeprefix("parameters.")

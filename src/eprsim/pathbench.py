@@ -177,7 +177,8 @@ def mz_sweep(alpha_list: list[float], phi_a_grid: list[float], phi_b_grid: list[
     phi_a = np.asarray(phi_a_grid, dtype=float)[:, None]
     phi_b = np.asarray(phi_b_grid, dtype=float)
 
-    def values(alpha):  # each column over (phi_a, phi_b, mode)
+    def values(alpha):  # each column over (alpha, phi_a, phi_b, mode)
+        alpha = np.expand_dims(alpha, (-2, -1))
         per_mode = [_probabilities(alpha, phi_a, phi_b, mode) for mode in modes]
         per_mode = [((math.nan,) * 4 if joint is None else joint.as_tuple()) + marg.as_tuple()
                     for joint, marg in per_mode]
@@ -196,4 +197,5 @@ def mz_marginal_sweep(alpha_list: list[float], phi_b_grid: list[float]) -> Table
     """
     phi_b = np.asarray(phi_b_grid, dtype=float)
     return grid_table(("alpha", "phi_b", "p_b1", "p_b0"), (alpha_list, phi_b_grid),
-                      lambda alpha: mz_bob_marginals(alpha, 0.0, phi_b).as_tuple())
+                      lambda alpha: mz_bob_marginals(np.expand_dims(alpha, -1), 0.0,
+                                                     phi_b).as_tuple())

@@ -90,6 +90,6 @@ def polar_bob_marginals(alpha: float, theta: float) -> MarginalDistribution:
 def polar_sweep(alpha_list: list[float], theta_grid: list[float]) -> Table:
     """Row-per-(alpha, theta) coincidence table."""
     theta = np.asarray(theta_grid, dtype=float)
-    return grid_table(("alpha", "theta", "p_hh", "p_hv", "p_vh", "p_vv"),
-                      (alpha_list, theta_grid),
-                      lambda alpha: polar_joint_probabilities(alpha, theta).as_tuple())
+    return grid_table(("alpha", "theta", "p_hh", "p_hv", "p_vh", "p_vv"), (alpha_list, theta_grid),
+                      lambda alpha: polar_joint_probabilities(np.expand_dims(alpha, -1),
+                                                              theta).as_tuple())

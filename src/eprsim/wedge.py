@@ -418,7 +418,7 @@ def signal_difference_map(
         return (*np.subtract(singles, expected_bob_marginals(alpha, phi_b).as_tuple()), *errors)
 
     try:
-        return grid_table(columns, axes, values)
+        return grid_table(columns, axes, lambda a: map(np.stack, zip(*map(values, a.tolist()))))
     except SamplingError:
         return grid_table(columns, axes, lambda alpha: [math.nan] * 4)
 

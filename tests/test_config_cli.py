@@ -20,6 +20,7 @@ from eprsim.cli import (
     COMMANDS,
     NoSignalReport,
     _audit,
+    _linspace,
     audit_mz,
     audit_polar,
     audit_wedge,
@@ -492,6 +493,35 @@ class TestConfigKeys:
         with pytest.raises(ConfigError, match="unknown parameter 'format'"):
             parse_config("bench=audit format=json")
 
+    @pytest.mark.parametrize("text, message", [
+        ("bench=polar beam_sigma=3e-4",
+         "bench 'polar' takes no geometry fields (line '1: beam_sigma=3e-4')"),
+        ("bench=polar geometry.beam_sigma=3e-4",
+         "bench 'polar' takes no geometry fields (line '1: geometry.beam_sigma=3e-4')"),
+        ('{"bench": "polar", "geometry": {"beam_sigma": 3e-4}}',
+         "bench 'polar' takes no geometry fields"),
+        ('{"bench": "polar", "beam_sigma": 3e-4}', "bench 'polar' takes no geometry fields"),
+        ("bench=polar parameters.beam_sigma=3e-4",
+         "unknown parameter 'beam_sigma' for bench 'polar'; expected one of ['alpha', 'format', "
+         "'grid', 'out', 'theta'] (line '1: parameters.beam_sigma=3e-4')"),
+        ("bench=polar phi_a=1", "unknown parameter 'phi_a' for bench 'polar'; expected one of "
+         "['alpha', 'format', 'grid', 'out', 'theta'] (line '1: phi_a=1')"),
+        ('{"bench": "audit", "parameters": {"foo": 1}}',
+         "unknown parameter 'foo' for bench 'audit'; expected one of ['bench', 'grid', "
+         "'tolerance']"),
+        ("bench=wedge foo=1", "unknown parameter 'foo' for bench 'wedge'; expected one of "
+         "['alpha', 'format', 'out', 'phi_a', 'phi_b', 'profile'] (line '1: foo=1')"),
+        ('{"bench": "wedge", "geometry": {"foo": 1}}',
+         "unknown geometry field 'foo'; expected one of ['aperture_halfwidth', 'apex_offset', "
+         "'beam_sigma', 'detector_halfwidth', 'propagation_distance', 'samples_aperture', "
+         "'samples_detector', 'tilt_angle', 'wavelength']"),
+    ])
+    def test_key_error_messages(self, text, message):
+        # the geometry fields are read from the wedge only when a key needs them
+        with pytest.raises(ConfigError) as raised:
+            parse_config(text)
+        assert str(raised.value) == message
+
 
 def _config_files(tmp_path, bench: str, keys: dict) -> list[Path]:
     """The same configuration written once as key=value text and once as JSON."""
@@ -759,8 +789,9 @@ class TestAuditInputs:
         module, name = ((polarization, "polar_bob_marginals") if audit == "polar"
                         else (pathbench, "expected_bob_marginals"))
         real = getattr(module, name)
-        # each audit takes one call per alpha on arrays
-        calls = {"polar": 3, "mz": 3, "wedge": 2}[audit]
+        # polar takes one call on its whole grid, mz one per block of 8 alphas (grid 3 is
+        # one block), wedge one per alpha
+        calls = {"polar": 1, "mz": 1, "wedge": 2}[audit]
         seen = []
 
         def with_nan(*args):
@@ -793,6 +824,71 @@ class TestAuditInputs:
                 "wedge": (math.pi / 2, 0.0, 2 * math.pi)}[audit]
         first = tuple(0.0 if isinstance(v, float) else v for v in last)
         assert report.worst_at == (first if nan_call == "first" else last)
+
+    @pytest.mark.parametrize("nan_at", ["first", "last"])
+    def test_nan_in_a_later_mz_block_fails(self, nan_at, monkeypatch):
+        # grid 10 takes two calls, on alphas 0-7 and 8-9; the NaN is in the second
+        real, seen = pathbench.expected_bob_marginals, []
+
+        def with_nan(*args):
+            marg = real(*args)
+            seen.append(args)
+            if len(seen) != 2:
+                return marg
+            p_b0 = np.array(marg.p_b0, dtype=float)
+            p_b0.flat[0 if nan_at == "first" else -1] = math.nan
+            return SimpleNamespace(p_b1=marg.p_b1, p_b0=p_b0, as_tuple=lambda: (marg.p_b1, p_b0))
+
+        monkeypatch.setattr(pathbench, "expected_bob_marginals", with_nan)
+        report = audit_mz(grid=10)
+        assert len(seen) == 2
+        assert math.isnan(report.max_deviation) and not report.passed
+        alphas, phis = _linspace(math.pi / 2, 10), _linspace(2 * math.pi, 10)
+        # every phi_a and mode of that (alpha, phi_b) is NaN: the first in visiting order
+        assert report.worst_at == ((alphas[8], 0.0, 0.0, "in") if nan_at == "first"
+                                   else (alphas[9], 0.0, phis[9], "in"))
+
+
+def _per_alpha_polar(grid: int) -> NoSignalReport:
+    """``audit_polar`` as one kernel call per alpha, each on a float alpha."""
+    alphas, thetas = _linspace(math.pi / 2, grid), _linspace(math.pi, grid)
+    theta = np.array(thetas)
+    bob = [polarization.polar_bob_marginals(alpha, theta).as_tuple() for alpha in alphas]
+    return _audit("polar", 1e-12, (alphas, thetas), np.stack(bob, axis=1) - 0.5)
+
+
+def _per_alpha_mz(grid: int) -> NoSignalReport:
+    """``audit_mz`` as one kernel call per alpha, each on a float alpha."""
+    alphas, phis = _linspace(math.pi / 2, grid), _linspace(2 * math.pi, grid)
+    phi_a, modes = np.array(phis), list(pathbench.AliceMode)
+    phi_b = phi_a[:, None]
+
+    def diff(alpha):  # axes (phi_b, phi_a, mode)
+        want = np.array(pathbench.expected_bob_marginals(alpha, phi_b).as_tuple())[..., None]
+        got = [np.array(pathbench.mz_bob_marginals(alpha, phi_a, phi_b, mode).as_tuple())
+               for mode in modes]
+        return np.stack(np.broadcast_arrays(*got), axis=-1) - want
+
+    return _audit("mz", 1e-12, (alphas, phis, phis, [mode.value for mode in modes]),
+                  np.stack([diff(alpha) for alpha in alphas], axis=1),
+                  lambda alpha, phi_b, phi_a, mode: (alpha, phi_a, phi_b, mode))
+
+
+class TestAuditBlocks:
+    """The audits evaluate blocks of settings per kernel call; their reports equal those
+    of a call per alpha, across the edges of mz's 8-alpha blocks."""
+
+    @pytest.mark.parametrize("grid", [1, 7, 8, 9, 17, 50])
+    def test_mz_equals_a_call_per_alpha(self, grid):
+        report, reference = audit_mz(grid=grid), _per_alpha_mz(grid)
+        assert report == reference
+        assert report.line() == reference.line()
+
+    @pytest.mark.parametrize("grid", [1, 13, 200])
+    def test_polar_equals_a_call_per_alpha(self, grid):
+        report, reference = audit_polar(grid=grid), _per_alpha_polar(grid)
+        assert report == reference
+        assert report.line() == reference.line()
 
 
 def _readme_blocks(section: str) -> list[tuple[str, str]]:
@@ -864,6 +960,20 @@ class TestStartup:
         done = self.run_python("-c", "import sys, eprsim.cli; eprsim.cli.build_parser(); "
                                "print(sorted({'json', 'concurrent.futures'} & set(sys.modules)))")
         assert (done.returncode, done.stdout) == (0, "[]\n"), done.stderr
+
+    def test_commands_without_sampler_or_wedge_load_neither(self, tmp_path):
+        # each loads in the handlers that use it; chsh, the control, loads the sampler
+        config = tmp_path / "polar.cfg"
+        config.write_text("bench=polar alpha=pi/8\ntheta=pi/3\n", encoding="utf-8")
+        commands = [["polar"], ["mz"], ["mz", "--bs-a", "stop"], ["audit", "--bench", "polar"],
+                    ["run", "--config", str(config)], ["chsh"]]
+        done = self.run_python("-c", "import json, sys; from eprsim.cli import main\n"
+                               "for argv in json.loads(sys.argv[1]):\n"
+                               "    print(main(argv), sorted(m for m in sys.modules if m in "
+                               "('eprsim.sampler', 'eprsim.wedge')), file=sys.stderr)",
+                               json.dumps(commands))
+        assert done.returncode == 0, done.stderr
+        assert done.stderr == "0 []\n" * 5 + "0 ['eprsim.sampler']\n"
 
     def test_package_import_loads_nothing(self):
         # each public name loads its module on first use, so numpy starts after __main__ runs

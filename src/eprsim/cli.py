@@ -27,7 +27,7 @@ import numpy as np
 from . import pathbench, polarization
 from .config import Command, ConfigError, Param, geometry_item, make_geometry, parse_config
 from .core import _check_count
-from .output import Table, emit_table
+from .output import Table, emit_table, grid_blocks
 from .pathbench import AliceMode
 
 if TYPE_CHECKING:  # sampler and wedge load in the handlers that use them
@@ -77,40 +77,42 @@ def _audit_axes(grid: int, tolerance: float, stop: float) -> tuple[list[float], 
 
 
 def _audit(bench, tolerance, axes, diff, at=lambda *point: point) -> NoSignalReport:
-    """Report the worst of Bob's marginal differences ``diff``, shaped (2, *axes).
+    """Report the worst of Bob's marginal differences ``diff(alphas)``, shaped (2, *axes).
 
-    In visiting (C) order the first NaN wins, so an audit that computed a NaN
-    anywhere cannot pass; otherwise the last of equal maxima does.  ``at``
-    orders the worst point's coordinates for the report."""
-    dev = np.maximum(np.abs(diff[0]), np.abs(diff[1])).ravel()
-    nan = np.flatnonzero(np.isnan(dev))
-    i = nan[0] if nan.size else dev.size - 1 - int(np.argmax(dev[::-1]))
-    index = np.unravel_index(i, [len(axis) for axis in axes])
-    return NoSignalReport(bench, dev.size, float(dev[i]),
-                          at(*(axis[k] for axis, k in zip(axes, index))), tolerance)
+    ``grid_blocks`` calls it on each block of alphas.  In visiting (C) order the first NaN
+    wins, so an audit that computed a NaN anywhere cannot pass; otherwise the last of equal
+    maxima does.  ``at`` orders the worst point's coordinates for the report."""
+    worst, worst_at = -math.inf, ()
+    for *points, diff_b1, diff_b0 in grid_blocks(axes, diff):
+        dev = np.maximum(np.abs(diff_b1), np.abs(diff_b0)).ravel()
+        nan = np.flatnonzero(np.isnan(dev))
+        i = nan[0] if nan.size else dev.size - 1 - int(np.argmax(dev[::-1]))
+        if worst == worst and not dev[i] < worst:  # a NaN found stays
+            worst, worst_at = float(dev[i]), [column.flat[i].item() for column in points]
+    return NoSignalReport(bench, math.prod(map(len, axes)), worst, at(*worst_at), tolerance)
 
 
 def audit_polar(grid: int = 200, tolerance: float = 1e-12) -> NoSignalReport:
     """Bob's polarization marginals must be (1/2, 1/2) for every setting."""
     alphas, thetas = _audit_axes(grid, tolerance, math.pi)
-    bob = polarization.polar_bob_marginals(np.array(alphas)[:, None], np.array(thetas))
-    return _audit("polar", tolerance, (alphas, thetas), np.array(bob.as_tuple()) - 0.5)
+    return _audit("polar", tolerance, (alphas, thetas), lambda alpha: np.subtract(
+        polarization.polar_bob_marginals(alpha[:, None], np.array(thetas)).as_tuple(), 0.5))
 
 
 def audit_mz(grid: int = 50, tolerance: float = 1e-12) -> NoSignalReport:
     """Bob's path marginals must not depend on phi_a or on Alice's mode."""
     alphas, phis = _audit_axes(grid, tolerance, 2 * math.pi)
-    alpha, phi_a, phi_b = np.array(alphas)[:, None, None], np.array(phis), np.array(phis)[:, None]
+    phi_a, phi_b = np.array(phis), np.array(phis)[:, None]
 
-    def diff(alpha):  # axes (alpha, phi_b, phi_a, mode), for 8 alphas: arrays stay small
+    def diff(alpha):  # axes (alpha, phi_b, phi_a, mode)
+        alpha = alpha[:, None, None]
         want = np.array(pathbench.expected_bob_marginals(alpha, phi_b).as_tuple())[..., None]
         got = [np.array(pathbench.mz_bob_marginals(alpha, phi_a, phi_b, mode).as_tuple())
                for mode in AliceMode]  # BEAM_STOP's lack the phi_a axis
         return np.stack(np.broadcast_arrays(*got), axis=-1) - want
 
     return _audit("mz", tolerance, (alphas, phis, phis, [mode.value for mode in AliceMode]),
-                  np.concatenate([diff(alpha[i:i + 8]) for i in range(0, grid, 8)], axis=1),
-                  lambda alpha, phi_b, phi_a, mode: (alpha, phi_a, phi_b, mode))
+                  diff, lambda alpha, phi_b, phi_a, mode: (alpha, phi_a, phi_b, mode))
 
 
 def audit_wedge(grid: int = 3, tolerance: float = 1e-4,
@@ -122,12 +124,12 @@ def audit_wedge(grid: int = 3, tolerance: float = 1e-4,
     phis_a = (0.0, math.pi / 2)
     phi_a, phi_b = np.array(phis_a), np.array(phis_b)[:, None]
 
-    def diff(alpha):  # axes (phi_b, phi_a)
+    def diff(alpha):  # axes (alpha, phi_b, phi_a)
+        alpha = alpha[:, None, None]
         got, _ = wedge._bob_singles(alpha, phi_a, phi_b, geom)
         return np.subtract(got, pathbench.expected_bob_marginals(alpha, phi_b).as_tuple())
 
-    return _audit("wedge", tolerance, (alphas, phis_b, phis_a),
-                  np.stack([diff(alpha) for alpha in alphas], axis=1),
+    return _audit("wedge", tolerance, (alphas, phis_b, phis_a), diff,
                   lambda alpha, phi_b, phi_a: (alpha, phi_a, phi_b))
 
 

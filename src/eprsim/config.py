@@ -39,8 +39,6 @@ class ConfigError(argparse.ArgumentTypeError, ValueError):
 
 def parse_angle(text: str | float, key: str = "angle") -> float:
     """Angle in radians from a decimal or pi-fraction literal."""
-    if isinstance(text, (int, float)) and not isinstance(text, bool):
-        return float(text)
     m = _PI_LITERAL.match(str(text))
     if m:
         value = math.pi
@@ -52,9 +50,10 @@ def parse_angle(text: str | float, key: str = "angle") -> float:
                 raise ConfigError(f"{key}: division by zero in {text!r}")
             value /= den
         return -value if m.group("sign") == "-" else value
-    try:  # JSON true, null, a list or an object is no angle
-        return float(text if isinstance(text, str) else None)
-    except (TypeError, ValueError):
+    try:  # JSON true, null, a list or an object is no angle, nor an int past a double
+        return float(None if isinstance(text, bool) or not isinstance(text, (str, int, float))
+                     else text)
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError(
             f"{key}: cannot parse angle {text!r}; use a decimal or a "
             f"pi fraction like 'pi/4' or '3*pi/8'"
@@ -122,7 +121,7 @@ class Param:
                                          and not raw.is_integer()):
                 raise TypeError  # int() would take JSON true or 2.5 for a count
             value = cast(raw)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):  # an int past a double overflows
             expected = "an integer" if cast is int else "a number"
             raise ConfigError(f"{name}: expected {expected}, got {raw!r}") from None
         if self.minimum is not None and not value >= self.minimum:  # NaN fails too

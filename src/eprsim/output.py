@@ -14,6 +14,7 @@ cells format each distinct 64-bit pattern once.
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -22,6 +23,7 @@ import numpy as np
 
 FLOAT_FORMAT = "%.17g"
 BLOCK_ROWS = 8192
+BLOCK_SETTINGS = 1 << 16  # points per sweep or audit kernel call: bounds its temporaries
 PAD = 0xFF  # fills a slot past the end of its text: UTF-8 never uses this byte
 
 
@@ -58,14 +60,22 @@ class Table:
         return cls(columns, tuple(map(np.array, list(zip(*rows)) or [()] * len(columns))))
 
 
-def grid_table(columns: tuple[str, ...], axes: tuple, values) -> Table:
-    """One row per point of the product of ``axes`` (last fastest): the point, then its cells
-    of one ``values(first)`` call on the first axis as a float array, each over all axes."""
+def grid_blocks(axes: tuple, values):
+    """Each block of whole first-axis rows of the product of ``axes`` (last fastest), at most
+    ``BLOCK_SETTINGS`` points or one row: its point columns, then the cells of one ``values``
+    call on its first-axis values as a 1-D float array, each a view of the block's shape."""
     if not all(len(axis) for axis in axes):
         raise ValueError("sweep grids must be non-empty")
-    shape = tuple(len(axis) for axis in axes)
-    grids = (*np.ix_(*map(np.asarray, axes)), *values(np.asarray(axes[0], dtype=float)))
-    return Table(columns, tuple(np.broadcast_to(grid, shape).ravel() for grid in grids))
+    rows = max(1, BLOCK_SETTINGS // math.prod(map(len, axes[1:])))
+    for start in range(0, len(axes[0]), rows):
+        points = np.ix_(*map(np.asarray, (axes[0][start:start + rows], *axes[1:])))
+        yield np.broadcast_arrays(*points, *values(points[0].ravel().astype(float)))
+
+
+def grid_table(columns: tuple[str, ...], axes: tuple, values) -> Table:
+    """One row per point of ``grid_blocks(axes, values)``: the point, then its cells."""
+    blocks = grid_blocks(axes, values)
+    return Table(columns, tuple(np.concatenate(column).ravel() for column in zip(*blocks)))
 
 
 def _text_slot(texts: list[str]) -> tuple[np.ndarray, bool]:

@@ -47,7 +47,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import _check_count, _require_angle, array_namespace, canonical_angle
+from .core import _check_count, _raise_where, _require_angle, array_namespace, canonical_angle
 from .output import Table, grid_table
 from .pathbench import AliceMode, _amplitudes, expected_bob_marginals
 
@@ -317,11 +317,12 @@ def _propagated_fields(geom: WedgeGeometry) -> tuple[BeamProfile, BeamProfile]:
     return f1, f2
 
 
-def _bob_table(alpha: float, phi_b):
-    """The path bench's g[k][j] (Alice's path k+1, Bob's detector (B1, B0)[j]) as
-    (real, imaginary) pairs: alpha as given, phi_b reduced into [0, 2*pi)."""
-    return _amplitudes(_require_angle(alpha, "alpha"), 0.0, canonical_angle(phi_b, "phi_b"),
-                       AliceMode.BEAM_STOP)[0]
+def _bob_table(alpha, phi_b):
+    """The path bench's g[k][j] (Alice's path k+1, Bob's detector (B1, B0)[j]) as (real,
+    imaginary) pairs; alpha, a float or an array, is checked finite but not reduced, phi_b is."""
+    alpha = alpha if isinstance(alpha, np.ndarray) else _require_angle(alpha, "alpha")
+    _raise_where(~np.isfinite(alpha), alpha, "alpha must be finite, got {!r}")
+    return _amplitudes(alpha, 0.0, canonical_angle(phi_b, "phi_b"), AliceMode.BEAM_STOP)[0]
 
 
 def joint_densities_at_detector(alpha: float, phi_a: float, phi_b: float,
@@ -361,14 +362,14 @@ def integrate_detector(density: np.ndarray, geom: WedgeGeometry) -> QuadratureRe
     return QuadratureResult(value=float(value), error_estimate=abs(float(step)))
 
 
-def _bob_singles(alpha: float, phi_a, phi_b, geom: WedgeGeometry):
-    """((P_B1, P_B0), (err_B1, err_B0)) at floats or arrays of phi_a and phi_b.
+def _bob_singles(alpha, phi_a, phi_b, geom: WedgeGeometry):
+    """((P_B1, P_B0), (err_B1, err_B0)) at floats or arrays of alpha, phi_a and phi_b.
 
     Simpson and its Richardson step are linear in the density, so P_Bj and
     its step follow from those of N_k = int |F_k|^2 and O = int F_1 F_2*:
     P_Bj = |g_1j|^2 N_1 + |g_2j|^2 N_2 + 2 Re(e^{i phi_a} g_1j g_2j* O).
-    Alice's phase reaches Bob only through O.  A float setting gives the
-    bits of a one-element array.
+    Alice's phase reaches Bob only through O.  The integrals are taken once per call;
+    a float setting gives the bits of a one-element array.
     """
     f1, f2 = (f.field for f in _propagated_fields(geom))
     o = f1 * f2.conj()
@@ -413,12 +414,13 @@ def signal_difference_map(
     axes, phi_b = (alpha_grid, phi_b_grid), np.asarray(phi_b_grid, dtype=float)
     columns = ("alpha", "phi_b", "diff_b1", "diff_b0", "err_b1", "err_b0")
 
-    def values(alpha):  # (diff_b1, diff_b0, err_b1, err_b0) over phi_b
+    def values(alpha):  # (diff_b1, diff_b0, err_b1, err_b0) over (alpha, phi_b)
+        alpha = alpha[:, None]
         singles, errors = _bob_singles(alpha, phi_a, phi_b, geom)
         return (*np.subtract(singles, expected_bob_marginals(alpha, phi_b).as_tuple()), *errors)
 
     try:
-        return grid_table(columns, axes, lambda a: map(np.stack, zip(*map(values, a.tolist()))))
+        return grid_table(columns, axes, values)
     except SamplingError:
         return grid_table(columns, axes, lambda alpha: [math.nan] * 4)
 

@@ -192,6 +192,27 @@ def test_wedge_bob_table_keeps_alpha_as_given():
             bits(Frozen.bob_amplitudes(alpha, phi_b)).tolist()
 
 
+def test_wedge_bob_singles_on_alpha_arrays_match_float_calls():
+    # the residual map and the wedge audit call it on a block of alphas at once
+    points = RNG_ANGLES[:64]
+    geom = wedge.WedgeGeometry()
+    floats = [wedge._bob_singles(*p, geom) for p in points.tolist()]
+    alpha, phi_a, phi_b = points.T
+    assert np.array_equal(bits(wedge._bob_singles(alpha, phi_a, phi_b, geom)),
+                          bits(np.moveaxis(floats, 0, -1)))
+    # and broadcast, alpha against phi_b as the map lays them out
+    grid = np.array(wedge._bob_singles(alpha[:8, None], 0.5, phi_b[:5], geom))
+    assert np.array_equal(bits(grid), bits(np.moveaxis(
+        [[wedge._bob_singles(a, 0.5, pb, geom) for pb in phi_b[:5].tolist()]
+         for a in alpha[:8].tolist()], (0, 1), (-2, -1))))
+
+
+@pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+def test_difference_map_rejects_a_non_finite_alpha(alpha):
+    with pytest.raises(ValueError, match=f"^alpha must be finite, got {alpha!r}$"):
+        wedge.signal_difference_map([0.0, alpha], [0.0, 1.0], 0.0, wedge.WedgeGeometry())
+
+
 def test_sweeps_equal_scalar_calls():
     alphas, phis = EIGHTHS[::3], SIXTEENTHS[::7]
     modes = list(AliceMode)

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import eprsim
-from eprsim import pathbench, polarization
+from eprsim import output, pathbench, polarization, wedge
 from eprsim.cli import (
     COMMANDS,
     NoSignalReport,
@@ -37,7 +37,7 @@ from eprsim.config import (
     parse_config,
     serialize_config,
 )
-from eprsim.output import Table
+from eprsim.output import Table, render_csv
 from eprsim.wedge import WedgeGeometry
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -254,7 +254,7 @@ class TestAudits:
 
     def test_worst_point_is_the_last_of_equal_maxima(self):
         diff = np.array([[0.1, -0.3, 0.3, 0.2], [0.0, 0.0, -0.3, 0.0]])  # (P_B1, P_B0)
-        report = _audit("x", 1.0, ([10, 20, 30, 40],), diff)
+        report = _audit("x", 1.0, ([10, 20, 30, 40],), lambda alphas: diff)
         assert (report.max_deviation, report.worst_at, report.configurations) == (0.3, (30,), 4)
 
     @pytest.mark.parametrize("grid", [0, -3, 2.5, True, None])
@@ -710,6 +710,22 @@ class TestUsageErrors:
         assert len(lines) == 4
         assert all(line.split(",")[2:] == ["nan"] * 4 for line in lines)
 
+    @pytest.mark.parametrize("doc, key", [
+        ({"bench": "polar", "alpha": 10 ** 400}, "alpha"),  # an angle
+        ({"bench": "chsh", "angles": [0, 10 ** 400, 0, 0]}, "angles"),
+        ({"bench": "audit", "parameters": {"bench": "polar", "tolerance": 10 ** 400}},
+         "tolerance"),  # a float
+        ({"bench": "wedge", "geometry": {"beam_sigma": 10 ** 400}}, "beam_sigma"),
+    ])
+    def test_json_integer_too_large_for_a_double(self, doc, key, tmp_path, capsys):
+        # float() of the integer overflows: a usage error naming the key, not a traceback
+        config = tmp_path / "big.json"
+        config.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["run", "--config", str(config)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {key}: ") and captured.err.count("\n") == 1
+
     def test_help_exits_0(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["sample", "--help"])
@@ -777,7 +793,8 @@ class TestAuditInputs:
         assert captured.err == "error: tolerance must be finite and >= 0, got inf\n"
 
     def test_nan_deviation_fails_under_an_infinite_tolerance(self):
-        assert not _audit("x", math.inf, ([0.0],), np.array([[math.nan], [0.0]])).passed
+        diff = np.array([[math.nan], [0.0]])
+        assert not _audit("x", math.inf, ([0.0],), lambda alphas: diff).passed
 
     def test_none_keeps_each_audit_default(self):
         (polar,) = run_no_signal_audit("polar", tolerance=0.0)
@@ -789,9 +806,8 @@ class TestAuditInputs:
         module, name = ((polarization, "polar_bob_marginals") if audit == "polar"
                         else (pathbench, "expected_bob_marginals"))
         real = getattr(module, name)
-        # polar takes one call on its whole grid, mz one per block of 8 alphas (grid 3 is
-        # one block), wedge one per alpha
-        calls = {"polar": 1, "mz": 1, "wedge": 2}[audit]
+        # each audit's grid here is one block of settings, so one call
+        calls = {"polar": 1, "mz": 1, "wedge": 1}[audit]
         seen = []
 
         def with_nan(*args):
@@ -827,7 +843,7 @@ class TestAuditInputs:
 
     @pytest.mark.parametrize("nan_at", ["first", "last"])
     def test_nan_in_a_later_mz_block_fails(self, nan_at, monkeypatch):
-        # grid 10 takes two calls, on alphas 0-7 and 8-9; the NaN is in the second
+        # grid 50 takes seven calls, on blocks of 8 alphas; the NaN is in the second (8-15)
         real, seen = pathbench.expected_bob_marginals, []
 
         def with_nan(*args):
@@ -840,21 +856,26 @@ class TestAuditInputs:
             return SimpleNamespace(p_b1=marg.p_b1, p_b0=p_b0, as_tuple=lambda: (marg.p_b1, p_b0))
 
         monkeypatch.setattr(pathbench, "expected_bob_marginals", with_nan)
-        report = audit_mz(grid=10)
-        assert len(seen) == 2
+        report = audit_mz(grid=50)
+        assert len(seen) == 7
         assert math.isnan(report.max_deviation) and not report.passed
-        alphas, phis = _linspace(math.pi / 2, 10), _linspace(2 * math.pi, 10)
+        alphas, phis = _linspace(math.pi / 2, 50), _linspace(2 * math.pi, 50)
         # every phi_a and mode of that (alpha, phi_b) is NaN: the first in visiting order
         assert report.worst_at == ((alphas[8], 0.0, 0.0, "in") if nan_at == "first"
-                                   else (alphas[9], 0.0, phis[9], "in"))
+                                   else (alphas[15], 0.0, phis[49], "in"))
 
 
 def _per_alpha_polar(grid: int) -> NoSignalReport:
     """``audit_polar`` as one kernel call per alpha, each on a float alpha."""
     alphas, thetas = _linspace(math.pi / 2, grid), _linspace(math.pi, grid)
     theta = np.array(thetas)
-    bob = [polarization.polar_bob_marginals(alpha, theta).as_tuple() for alpha in alphas]
-    return _audit("polar", 1e-12, (alphas, thetas), np.stack(bob, axis=1) - 0.5)
+
+    def diff(block):  # axes (alpha, theta)
+        bob = [polarization.polar_bob_marginals(alpha, theta).as_tuple()
+               for alpha in block.tolist()]
+        return np.stack(bob, axis=1) - 0.5
+
+    return _audit("polar", 1e-12, (alphas, thetas), diff)
 
 
 def _per_alpha_mz(grid: int) -> NoSignalReport:
@@ -870,25 +891,143 @@ def _per_alpha_mz(grid: int) -> NoSignalReport:
         return np.stack(np.broadcast_arrays(*got), axis=-1) - want
 
     return _audit("mz", 1e-12, (alphas, phis, phis, [mode.value for mode in modes]),
-                  np.stack([diff(alpha) for alpha in alphas], axis=1),
+                  lambda block: np.stack([diff(alpha) for alpha in block.tolist()], axis=1),
                   lambda alpha, phi_b, phi_a, mode: (alpha, phi_a, phi_b, mode))
 
 
-class TestAuditBlocks:
-    """The audits evaluate blocks of settings per kernel call; their reports equal those
-    of a call per alpha, across the edges of mz's 8-alpha blocks."""
+def _per_alpha_wedge(grid: int, geom: WedgeGeometry) -> NoSignalReport:
+    """``audit_wedge`` as one kernel call per alpha, each on a float alpha."""
+    alphas, phis_b = _linspace(math.pi / 2, grid), _linspace(2 * math.pi, grid)
+    phi_a, phi_b = np.array([0.0, math.pi / 2]), np.array(phis_b)[:, None]
 
-    @pytest.mark.parametrize("grid", [1, 7, 8, 9, 17, 50])
+    def diff(alpha):  # axes (phi_b, phi_a)
+        got, _ = wedge._bob_singles(alpha, phi_a, phi_b, geom)
+        return np.subtract(got, pathbench.expected_bob_marginals(alpha, phi_b).as_tuple())
+
+    return _audit("wedge", 1e-4, (alphas, phis_b, [0.0, math.pi / 2]),
+                  lambda block: np.stack([diff(alpha) for alpha in block.tolist()], axis=1),
+                  lambda alpha, phi_b, phi_a: (alpha, phi_a, phi_b))
+
+
+class TestAuditBlocks:
+    """The audits evaluate a block of settings per kernel call, as ``output.grid_blocks``
+    cuts them, and ``_audit`` reduces each block as it comes; their reports equal those of
+    a call per alpha, across the edges of the blocks (mz's grid 50 takes blocks of 8
+    alphas, 41 of 12, 100 of 2)."""
+
+    @pytest.mark.parametrize("grid", [1, 7, 8, 9, 17, 41, 50, 100])
     def test_mz_equals_a_call_per_alpha(self, grid):
         report, reference = audit_mz(grid=grid), _per_alpha_mz(grid)
         assert report == reference
         assert report.line() == reference.line()
 
-    @pytest.mark.parametrize("grid", [1, 13, 200])
+    @pytest.mark.parametrize("nans, worst_at", [({}, (2, 7)), ({1: 0, 2: 3}, (1, 0))])
+    def test_blocks_reduce_to_the_first_nan_else_the_last_maximum(self, nans, worst_at):
+        row = output.BLOCK_SETTINGS  # so each block is one alpha row
+
+        def diff(alphas):  # equal maxima at alphas 0 and 2; NaNs where ``nans`` puts them
+            (alpha,) = alphas.tolist()
+            block = np.zeros((2, 1, row))
+            block[1, 0, 7] = 0.25 if alpha == 1 else -0.5
+            if alpha in nans:
+                block[0, 0, nans[alpha]] = math.nan
+            return block
+
+        report = _audit("x", 1.0, ([0, 1, 2], range(row)), diff)
+        assert (report.worst_at, report.configurations) == (worst_at, 3 * row)
+        assert math.isnan(report.max_deviation) if nans else report.max_deviation == 0.5
+
+    @pytest.mark.parametrize("grid", [1, 13, 200, 600])
     def test_polar_equals_a_call_per_alpha(self, grid):
         report, reference = audit_polar(grid=grid), _per_alpha_polar(grid)
         assert report == reference
         assert report.line() == reference.line()
+
+    @pytest.mark.parametrize("grid", [1, 4])
+    def test_wedge_equals_a_call_per_alpha(self, grid):
+        geom = WedgeGeometry(**SMALL_GEOMETRY)
+        report, reference = audit_wedge(grid=grid, geometry=geom), _per_alpha_wedge(grid, geom)
+        assert report == reference
+        assert report.line() == reference.line()
+
+
+def _alphas_per_call(monkeypatch, module, name) -> list[int]:
+    """The number of alphas of each call of ``module.name`` from now on: the length of its
+    first argument, a sweep's or audit's alphas widened against its other axes."""
+    real, sizes = getattr(module, name), []
+
+    def counted(alpha, *args):
+        sizes.append(len(alpha))
+        return real(alpha, *args)
+
+    monkeypatch.setattr(module, name, counted)
+    return sizes
+
+
+def _blocks(alphas: int, per_alpha: int) -> list[int]:
+    """The alphas of each block: as many as fit in BLOCK_SETTINGS settings, at least one."""
+    rows = max(1, output.BLOCK_SETTINGS // per_alpha)
+    return [min(rows, alphas - start) for start in range(0, alphas, rows)]
+
+
+def _one_alpha_at_a_time(sweep, alphas, *axes) -> Table:
+    """``sweep`` as one table per alpha, joined."""
+    tables = [sweep([alpha], *axes) for alpha in alphas]
+    return Table(tables[0].columns, tuple(map(np.concatenate, zip(*(t.data for t in tables)))))
+
+
+class TestBlockPolicy:
+    """Every sweep and audit hands its kernel whole alpha rows, as many as fit in
+    ``output.BLOCK_SETTINGS`` settings (at least one row) per call."""
+
+    SWEEPS = {  # the sweep, the kernel its values call once, its grid, settings per alpha
+        "polar 600x600": (polarization.polar_sweep, (polarization, "polar_joint_probabilities"),
+                          600, 600),
+        "mz 64x64x64": (pathbench.mz_sweep, (pathbench, "_probabilities"), 64, 64 * 64),
+        "mz marginals 300x300": (pathbench.mz_marginal_sweep, (pathbench, "mz_bob_marginals"),
+                                 300, 300),
+    }
+
+    @staticmethod
+    def sweep_axes(sweep, grid):
+        axes = (_linspace(math.pi / 2, grid), *[_linspace(2 * math.pi, grid)] * 2)
+        return axes if sweep is pathbench.mz_sweep else axes[:2]
+
+    @pytest.mark.parametrize("name", SWEEPS)
+    def test_sweep_calls(self, name, monkeypatch):
+        sweep, kernel, grid, per_alpha = self.SWEEPS[name]
+        sizes = _alphas_per_call(monkeypatch, *kernel)
+        table = sweep(*self.sweep_axes(sweep, grid))
+        assert sizes == _blocks(grid, per_alpha)
+        assert len(sizes) > 1 and len(table) == grid * per_alpha
+
+    @pytest.mark.parametrize("name", SWEEPS)
+    def test_sweep_bytes_equal_one_alpha_at_a_time(self, name):
+        sweep, _, grid, _ = self.SWEEPS[name]
+        axes = self.sweep_axes(sweep, grid)
+        assert render_csv(sweep(*axes)) == render_csv(_one_alpha_at_a_time(sweep, *axes))
+
+    @pytest.mark.parametrize("audit, kernel, grid, per_alpha", [
+        (audit_polar, (polarization, "polar_bob_marginals"), 200, 200),
+        (audit_polar, (polarization, "polar_bob_marginals"), 600, 600),
+        (audit_mz, (pathbench, "expected_bob_marginals"), 50, 50 * 50 * 3),
+        (audit_mz, (pathbench, "expected_bob_marginals"), 100, 100 * 100 * 3),
+    ])
+    def test_audit_calls(self, audit, kernel, grid, per_alpha, monkeypatch):
+        sizes = _alphas_per_call(monkeypatch, *kernel)
+        assert audit(grid=grid).configurations == grid * per_alpha
+        assert sizes == _blocks(grid, per_alpha)
+
+    @pytest.mark.parametrize("grid", [3, 5])
+    def test_wedge_calls(self, grid, monkeypatch):
+        # the audit and the map each take one call on all their alphas, with the detector
+        # integrals taken once in it
+        sizes = _alphas_per_call(monkeypatch, wedge, "_bob_singles")
+        geom = WedgeGeometry(**SMALL_GEOMETRY)
+        assert audit_wedge(grid=grid, geometry=geom).configurations == grid * grid * 2
+        alphas = _linspace(math.pi / 2, grid)
+        assert len(wedge.signal_difference_map(alphas, alphas, 0.0, geom)) == grid * grid
+        assert sizes == [grid, grid]
 
 
 def _readme_blocks(section: str) -> list[tuple[str, str]]:

@@ -19,145 +19,42 @@ import argparse
 import math
 import re
 import sys
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
-
-import numpy as np
 
 from . import pathbench, polarization
 from .config import Command, ConfigError, Param, geometry_item, make_geometry, parse_config
-from .core import _check_count
-from .output import Table, emit_table, grid_blocks
+from .output import NoSignalReport, Table, emit_table, grid_axes
 from .pathbench import AliceMode
-
-if TYPE_CHECKING:  # sampler and wedge load in the handlers that use them
-    from .wedge import WedgeGeometry
-
-
-@dataclass(frozen=True)
-class NoSignalReport:
-    """Outcome of one no-signaling audit sweep."""
-
-    bench: str
-    configurations: int
-    max_deviation: float
-    worst_at: tuple
-    tolerance: float
-
-    @property
-    def passed(self) -> bool:
-        return self.max_deviation <= self.tolerance
-
-    def line(self) -> str:
-        verdict = "PASS" if self.passed else "FAIL"
-        where = ", ".join(f"{v:.6g}" if isinstance(v, float) else str(v)
-                          for v in self.worst_at)
-        return (
-            f"[{verdict}] {self.bench}: max marginal deviation "
-            f"{self.max_deviation:.3e} at ({where}) over "
-            f"{self.configurations} configurations "
-            f"(tolerance {self.tolerance:.1e})"
-        )
-
-
-def _linspace(stop: float, count: int) -> list[float]:
-    if count < 2:
-        return [0.0]
-    step = stop / (count - 1)
-    return [i * step for i in range(count)]
-
-
-def _audit_axes(grid: int, tolerance: float, stop: float) -> tuple[list[float], list[float]]:
-    """An audit's alpha axis over [0, pi/2] and its other axis over [0, stop], grid points
-    each; an infinite tolerance would pass any finite deviation, so it is rejected."""
-    _check_count("grid", grid, 1)
-    if not 0.0 <= tolerance < math.inf:  # NaN fails too
-        raise ValueError(f"tolerance must be finite and >= 0, got {tolerance!r}")
-    return _linspace(math.pi / 2, grid), _linspace(stop, grid)
-
-
-def _audit(bench, tolerance, axes, diff, at=lambda *point: point) -> NoSignalReport:
-    """Report the worst of Bob's marginal differences ``diff(alphas)``, shaped (2, *axes).
-
-    ``grid_blocks`` calls it on each block of alphas.  In visiting (C) order the first NaN
-    wins, so an audit that computed a NaN anywhere cannot pass; otherwise the last of equal
-    maxima does.  ``at`` orders the worst point's coordinates for the report."""
-    worst, worst_at = -math.inf, ()
-    for *points, diff_b1, diff_b0 in grid_blocks(axes, diff):
-        dev = np.maximum(np.abs(diff_b1), np.abs(diff_b0)).ravel()
-        nan = np.flatnonzero(np.isnan(dev))
-        i = nan[0] if nan.size else dev.size - 1 - int(np.argmax(dev[::-1]))
-        if worst == worst and not dev[i] < worst:  # a NaN found stays
-            worst, worst_at = float(dev[i]), [column.flat[i].item() for column in points]
-    return NoSignalReport(bench, math.prod(map(len, axes)), worst, at(*worst_at), tolerance)
-
-
-def audit_polar(grid: int = 200, tolerance: float = 1e-12) -> NoSignalReport:
-    """Bob's polarization marginals must be (1/2, 1/2) for every setting."""
-    alphas, thetas = _audit_axes(grid, tolerance, math.pi)
-    return _audit("polar", tolerance, (alphas, thetas), lambda alpha: np.subtract(
-        polarization.polar_bob_marginals(alpha[:, None], np.array(thetas)).as_tuple(), 0.5))
-
-
-def audit_mz(grid: int = 50, tolerance: float = 1e-12) -> NoSignalReport:
-    """Bob's path marginals must not depend on phi_a or on Alice's mode."""
-    alphas, phis = _audit_axes(grid, tolerance, 2 * math.pi)
-    phi_a, phi_b = np.array(phis), np.array(phis)[:, None]
-
-    def diff(alpha):  # axes (alpha, phi_b, phi_a, mode)
-        alpha = alpha[:, None, None]
-        want = np.array(pathbench.expected_bob_marginals(alpha, phi_b).as_tuple())[..., None]
-        got = [np.array(pathbench.mz_bob_marginals(alpha, phi_a, phi_b, mode).as_tuple())
-               for mode in AliceMode]  # BEAM_STOP's lack the phi_a axis
-        return np.stack(np.broadcast_arrays(*got), axis=-1) - want
-
-    return _audit("mz", tolerance, (alphas, phis, phis, [mode.value for mode in AliceMode]),
-                  diff, lambda alpha, phi_b, phi_a, mode: (alpha, phi_a, phi_b, mode))
-
-
-def audit_wedge(grid: int = 3, tolerance: float = 1e-4,
-                geometry: WedgeGeometry | None = None) -> NoSignalReport:
-    """Integrated wedge singles must track the phi_a-free closed form."""
-    from . import wedge
-    geom = geometry if geometry is not None else wedge.WedgeGeometry()
-    alphas, phis_b = _audit_axes(grid, tolerance, 2 * math.pi)
-    phis_a = (0.0, math.pi / 2)
-    phi_a, phi_b = np.array(phis_a), np.array(phis_b)[:, None]
-
-    def diff(alpha):  # axes (alpha, phi_b, phi_a)
-        alpha = alpha[:, None, None]
-        got, _ = wedge._bob_singles(alpha, phi_a, phi_b, geom)
-        return np.subtract(got, pathbench.expected_bob_marginals(alpha, phi_b).as_tuple())
-
-    return _audit("wedge", tolerance, (alphas, phis_b, phis_a), diff,
-                  lambda alpha, phi_b, phi_a: (alpha, phi_a, phi_b))
 
 
 def run_no_signal_audit(bench: str = "all", grid: int | None = None,
                         tolerance: float | None = None,
-                        geometry: WedgeGeometry | None = None) -> list[NoSignalReport]:
-    """Run one audit or all three; a grid or tolerance of None keeps each audit's default."""
-    given = {k: v for k, v in (("grid", grid), ("tolerance", tolerance)) if v is not None}
-    audits = {"polar": audit_polar, "mz": audit_mz,
-              "wedge": lambda **kw: audit_wedge(geometry=geometry, **kw)}
-    if bench != "all" and bench not in audits:
+                        geometry=None) -> list[NoSignalReport]:
+    """Run one audit or all three; a grid or tolerance of None keeps each audit's default,
+    and a geometry of None the wedge's."""
+    if bench not in ("polar", "mz", "wedge", "all"):
         raise ConfigError(f"unknown audit bench {bench!r}")
-    return [audit(**given) for name, audit in audits.items() if bench in (name, "all")]
+    given = {k: v for k, v in (("grid", grid), ("tolerance", tolerance)) if v is not None}
+    reports = [audit(**given) for name, audit in (("polar", polarization.audit_polar),
+                                                  ("mz", pathbench.audit_mz))
+               if bench in (name, "all")]
+    if bench in ("wedge", "all"):
+        from .wedge import audit_wedge
+        reports.append(audit_wedge(geometry=geometry, **given))
+    return reports
 
 
 def _cmd_polar(args) -> Table:
-    axes = ((_linspace(math.pi / 2, args.grid), _linspace(math.pi, args.grid)) if args.grid
-            else ([args.alpha], [args.theta]))
+    axes = grid_axes(args.grid, math.pi) if args.grid else ([args.alpha], [args.theta])
     return polarization.polar_sweep(*axes)
 
 
 def _cmd_mz(args) -> Table:
     if args.marginals and not args.grid:
         raise ConfigError("mz --marginals needs --grid N with N >= 1")
-    alphas, phis = _linspace(math.pi / 2, args.grid), _linspace(2 * math.pi, args.grid)
     if args.marginals:
-        return pathbench.mz_marginal_sweep(alphas, phis)
-    axes = (alphas, phis, phis) if args.grid else ([args.alpha], [args.phi_a], [args.phi_b])
+        return pathbench.mz_marginal_sweep(*grid_axes(args.grid, 2 * math.pi))
+    axes = (grid_axes(args.grid, 2 * math.pi, 2 * math.pi) if args.grid
+            else ([args.alpha], [args.phi_a], [args.phi_b]))
     return pathbench.mz_sweep(*axes, (AliceMode(args.mode),))
 
 
@@ -166,15 +63,15 @@ def _cmd_wedge(args) -> Table:
     geom, settings = make_geometry(args.geom), (args.alpha, args.phi_a, args.phi_b)
     if args.profile:
         return wedge.wedge_profile_table(*settings, geom)
-    singles, errors = wedge._bob_singles(*settings, geom)
+    b1, b0 = wedge.wedge_bob_singles(*settings, geom)
     return Table.from_rows(("alpha", "phi_a", "phi_b", "p_b1", "p_b0", "err_b1", "err_b0"),
-                           [settings + singles + errors])
+                           [settings + (b1.value, b0.value, b1.error_estimate, b0.error_estimate)])
 
 
 def _cmd_diffmap(args) -> Table:
     from . import wedge
-    grid = (_linspace(math.pi / 2, args.grid), _linspace(2 * math.pi, args.grid))
-    return wedge.signal_difference_map(*grid, args.phi_a, make_geometry(args.geom))
+    return wedge.signal_difference_map(*grid_axes(args.grid, 2 * math.pi), args.phi_a,
+                                       make_geometry(args.geom))
 
 
 def _cmd_sample(args) -> Table:
@@ -330,7 +227,3 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:  # ConfigError and SamplingError included
         sys.stderr.write(f"error: {exc}\n")
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

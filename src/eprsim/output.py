@@ -1,4 +1,8 @@
-"""Deterministic table emission for the CLI and sweeps.
+"""Settings grids, their audit reduction, and deterministic table emission.
+
+Every sweep and audit takes its axes from ``grid_axes`` and its blocks of
+settings from ``grid_blocks``; ``grid_table`` joins the blocks into a table
+and ``grid_audit`` reduces them to a ``NoSignalReport``.
 
 CSV uses '.' as the decimal separator and 17 significant digits for
 floats so round-tripping through text preserves the double exactly and
@@ -20,6 +24,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+
+from .core import _check_count
 
 FLOAT_FORMAT = "%.17g"
 BLOCK_ROWS = 8192
@@ -60,6 +66,43 @@ class Table:
         return cls(columns, tuple(map(np.array, list(zip(*rows)) or [()] * len(columns))))
 
 
+@dataclass(frozen=True)
+class NoSignalReport:
+    """Outcome of one no-signaling audit sweep."""
+
+    bench: str
+    configurations: int
+    max_deviation: float
+    worst_at: tuple
+    tolerance: float
+
+    @property
+    def passed(self) -> bool:
+        return self.max_deviation <= self.tolerance
+
+    def line(self) -> str:
+        verdict = "PASS" if self.passed else "FAIL"
+        where = ", ".join(f"{v:.6g}" if isinstance(v, float) else str(v)
+                          for v in self.worst_at)
+        return (
+            f"[{verdict}] {self.bench}: max marginal deviation "
+            f"{self.max_deviation:.3e} at ({where}) over "
+            f"{self.configurations} configurations "
+            f"(tolerance {self.tolerance:.1e})"
+        )
+
+
+def grid_axes(grid: int, *stops: float) -> tuple[list[float], ...]:
+    """The alpha axis over [0, pi/2], then one axis over [0, stop] per stop: ``grid`` evenly
+    spaced points each, the one point 0.0 for a grid of 1."""
+    _check_count("grid", grid, 1)
+    try:
+        steps = [stop / max(grid - 1, 1) for stop in (math.pi / 2, *stops)]
+    except OverflowError:  # an integer beyond the doubles
+        raise ValueError(f"grid must fit in a double, got {grid.bit_length()} bits") from None
+    return tuple([i * step for i in range(grid)] for step in steps)
+
+
 def grid_blocks(axes: tuple, values):
     """Each block of whole first-axis rows of the product of ``axes`` (last fastest), at most
     ``BLOCK_SETTINGS`` points or one row: its point columns, then the cells of one ``values``
@@ -73,9 +116,30 @@ def grid_blocks(axes: tuple, values):
 
 
 def grid_table(columns: tuple[str, ...], axes: tuple, values) -> Table:
-    """One row per point of ``grid_blocks(axes, values)``: the point, then its cells."""
-    blocks = grid_blocks(axes, values)
-    return Table(columns, tuple(np.concatenate(column).ravel() for column in zip(*blocks)))
+    """One row per point of ``grid_blocks(axes, values)``: the point, then its cells; a
+    lone block's columns are taken as they are, with no concatenated copy."""
+    return Table(columns, tuple((blocks[0] if len(blocks) == 1 else np.concatenate(blocks))
+                                .ravel() for blocks in zip(*grid_blocks(axes, values))))
+
+
+def grid_audit(bench: str, tolerance: float, axes: tuple, diff,
+               at=lambda *point: point) -> NoSignalReport:
+    """Report the worst of Bob's marginal differences ``diff(alphas)``, shaped (2, *axes).
+
+    ``grid_blocks`` calls it on each block of alphas.  In visiting (C) order the first NaN
+    wins, so an audit that computed a NaN anywhere cannot pass; otherwise the last of equal
+    maxima does.  ``at`` orders the worst point's coordinates for the report.  An infinite
+    tolerance would pass any finite deviation, so it is rejected."""
+    if not 0.0 <= tolerance < math.inf:  # NaN fails too
+        raise ValueError(f"tolerance must be finite and >= 0, got {tolerance!r}")
+    worst, worst_at = -math.inf, ()
+    for *points, diff_b1, diff_b0 in grid_blocks(axes, diff):
+        dev = np.maximum(np.abs(diff_b1), np.abs(diff_b0)).ravel()
+        nan = np.flatnonzero(np.isnan(dev))
+        i = nan[0] if nan.size else dev.size - 1 - int(np.argmax(dev[::-1]))
+        if worst == worst and not dev[i] < worst:  # a NaN found stays
+            worst, worst_at = float(dev[i]), [column.flat[i].item() for column in points]
+    return NoSignalReport(bench, math.prod(map(len, axes)), worst, at(*worst_at), tolerance)
 
 
 def _text_slot(texts: list[str]) -> tuple[np.ndarray, bool]:

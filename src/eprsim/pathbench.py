@@ -44,7 +44,7 @@ from .core import (
     moduli_squared,
     source_coefficients,
 )
-from .output import Table, grid_table
+from .output import NoSignalReport, Table, grid_audit, grid_axes, grid_table
 
 SQRT2 = math.sqrt(2.0)
 
@@ -199,3 +199,19 @@ def mz_marginal_sweep(alpha_list: list[float], phi_b_grid: list[float]) -> Table
     return grid_table(("alpha", "phi_b", "p_b1", "p_b0"), (alpha_list, phi_b_grid),
                       lambda alpha: mz_bob_marginals(np.expand_dims(alpha, -1), 0.0,
                                                      phi_b).as_tuple())
+
+
+def audit_mz(grid: int = 50, tolerance: float = 1e-12) -> NoSignalReport:
+    """Bob's path marginals must not depend on phi_a or on Alice's mode."""
+    alphas, phis = grid_axes(grid, 2 * math.pi)
+    phi_a, phi_b = np.array(phis), np.array(phis)[:, None]
+
+    def diff(alpha):  # axes (alpha, phi_b, phi_a, mode)
+        alpha = alpha[:, None, None]
+        want = np.array(expected_bob_marginals(alpha, phi_b).as_tuple())[..., None]
+        got = [np.array(mz_bob_marginals(alpha, phi_a, phi_b, mode).as_tuple())
+               for mode in AliceMode]  # BEAM_STOP's lack the phi_a axis
+        return np.stack(np.broadcast_arrays(*got), axis=-1) - want
+
+    return grid_audit("mz", tolerance, (alphas, phis, phis, [mode.value for mode in AliceMode]),
+                      diff, lambda alpha, phi_b, phi_a, mode: (alpha, phi_a, phi_b, mode))

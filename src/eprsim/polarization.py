@@ -35,7 +35,7 @@ from .core import (
     joint_distribution,
     moduli_squared,
 )
-from .output import Table, grid_table
+from .output import NoSignalReport, Table, grid_audit, grid_axes, grid_table
 
 SQRT2 = math.sqrt(2.0)
 
@@ -93,3 +93,10 @@ def polar_sweep(alpha_list: list[float], theta_grid: list[float]) -> Table:
     return grid_table(("alpha", "theta", "p_hh", "p_hv", "p_vh", "p_vv"), (alpha_list, theta_grid),
                       lambda alpha: polar_joint_probabilities(np.expand_dims(alpha, -1),
                                                               theta).as_tuple())
+
+
+def audit_polar(grid: int = 200, tolerance: float = 1e-12) -> NoSignalReport:
+    """Bob's polarization marginals must be (1/2, 1/2) for every setting."""
+    alphas, thetas = grid_axes(grid, math.pi)
+    return grid_audit("polar", tolerance, (alphas, thetas), lambda alpha: np.subtract(
+        polar_bob_marginals(alpha[:, None], np.array(thetas)).as_tuple(), 0.5))

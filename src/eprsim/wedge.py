@@ -48,7 +48,7 @@ from functools import lru_cache
 import numpy as np
 
 from .core import _check_count, _raise_where, _require_angle, array_namespace, canonical_angle
-from .output import Table, grid_table
+from .output import NoSignalReport, Table, grid_audit, grid_axes, grid_table
 from .pathbench import AliceMode, _amplitudes, expected_bob_marginals
 
 MIN_SAMPLES = 64
@@ -398,6 +398,13 @@ def wedge_bob_singles(alpha: float, phi_a: float, phi_b: float,
     return tuple(QuadratureResult(float(v), float(e)) for v, e in zip(values, errors))
 
 
+def _residual(alpha, phi_a, phi_b, geom: WedgeGeometry):
+    """(diff_B1, diff_B0, err_B1, err_B0): Bob's singles minus the phi_a-free closed form,
+    then their error estimates."""
+    singles, errors = _bob_singles(alpha, phi_a, phi_b, geom)
+    return (*np.subtract(singles, expected_bob_marginals(alpha, phi_b).as_tuple()), *errors)
+
+
 def signal_difference_map(
     alpha_grid: list[float],
     phi_b_grid: list[float],
@@ -413,16 +420,22 @@ def signal_difference_map(
     """
     axes, phi_b = (alpha_grid, phi_b_grid), np.asarray(phi_b_grid, dtype=float)
     columns = ("alpha", "phi_b", "diff_b1", "diff_b0", "err_b1", "err_b0")
-
-    def values(alpha):  # (diff_b1, diff_b0, err_b1, err_b0) over (alpha, phi_b)
-        alpha = alpha[:, None]
-        singles, errors = _bob_singles(alpha, phi_a, phi_b, geom)
-        return (*np.subtract(singles, expected_bob_marginals(alpha, phi_b).as_tuple()), *errors)
-
-    try:
-        return grid_table(columns, axes, values)
+    try:  # (diff_b1, diff_b0, err_b1, err_b0) over (alpha, phi_b)
+        return grid_table(columns, axes, lambda a: _residual(a[:, None], phi_a, phi_b, geom))
     except SamplingError:
         return grid_table(columns, axes, lambda alpha: [math.nan] * 4)
+
+
+def audit_wedge(grid: int = 3, tolerance: float = 1e-4,
+                geometry: WedgeGeometry | None = None) -> NoSignalReport:
+    """Integrated wedge singles must track the phi_a-free closed form."""
+    geom = geometry if geometry is not None else WedgeGeometry()
+    alphas, phis_b = grid_axes(grid, 2 * math.pi)
+    phis_a = (0.0, math.pi / 2)
+    phi_a, phi_b = np.array(phis_a), np.array(phis_b)[:, None]
+    return grid_audit("wedge", tolerance, (alphas, phis_b, phis_a),  # axes (alpha, phi_b, phi_a)
+                      lambda alpha: _residual(alpha[:, None, None], phi_a, phi_b, geom)[:2],
+                      lambda alpha, phi_b, phi_a: (alpha, phi_a, phi_b))
 
 
 def wedge_profile_table(

@@ -13,14 +13,14 @@ import time
 import numpy as np
 
 from eprsim import cli
-from eprsim.cli import audit_mz, audit_polar
 from eprsim.pathbench import (
     AliceMode,
+    audit_mz,
     expected_bob_marginals,
     mz_bob_marginals,
     mz_joint_probabilities,
 )
-from eprsim.polarization import polar_joint_probabilities
+from eprsim.polarization import audit_polar, polar_joint_probabilities
 from eprsim.sampler import estimate_chsh
 from eprsim.wedge import WedgeGeometry, signal_difference_map
 

@@ -16,18 +16,7 @@ import pytest
 
 import eprsim
 from eprsim import output, pathbench, polarization, wedge
-from eprsim.cli import (
-    COMMANDS,
-    NoSignalReport,
-    _audit,
-    _linspace,
-    audit_mz,
-    audit_polar,
-    audit_wedge,
-    build_parser,
-    main,
-    run_no_signal_audit,
-)
+from eprsim.cli import COMMANDS, build_parser, main, run_no_signal_audit
 from eprsim.config import (
     ConfigError,
     RunConfig,
@@ -37,8 +26,10 @@ from eprsim.config import (
     parse_config,
     serialize_config,
 )
-from eprsim.output import Table, render_csv
-from eprsim.wedge import WedgeGeometry
+from eprsim.output import NoSignalReport, Table, grid_audit, grid_axes, render_csv
+from eprsim.pathbench import audit_mz
+from eprsim.polarization import audit_polar
+from eprsim.wedge import WedgeGeometry, audit_wedge
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -254,7 +245,7 @@ class TestAudits:
 
     def test_worst_point_is_the_last_of_equal_maxima(self):
         diff = np.array([[0.1, -0.3, 0.3, 0.2], [0.0, 0.0, -0.3, 0.0]])  # (P_B1, P_B0)
-        report = _audit("x", 1.0, ([10, 20, 30, 40],), lambda alphas: diff)
+        report = grid_audit("x", 1.0, ([10, 20, 30, 40],), lambda alphas: diff)
         assert (report.max_deviation, report.worst_at, report.configurations) == (0.3, (30,), 4)
 
     @pytest.mark.parametrize("grid", [0, -3, 2.5, True, None])
@@ -665,6 +656,7 @@ class TestUsageErrors:
         (["audit", "--grid", "0"], "grid"),
         (["wedge", "--geom", "propagation_distance=inf"], "propagation_distance"),
         (["wedge", "--geom", "samples_aperture=4097.5"], "samples_aperture"),
+        (["chsh", "--angles", "0,1,2"], "angles: expected 4 comma-separated values"),
         ([], "command"),
     ])
     def test_exit_1_with_message(self, argv, named, capsys):
@@ -725,6 +717,32 @@ class TestUsageErrors:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"error: {key}: ") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [["polar"], ["mz"], ["mz", "--marginals"], ["diffmap"],
+                                      ["audit", "--bench", "polar"], ["run"]])
+    def test_grid_too_large_for_a_double(self, argv, tmp_path, capsys):
+        # stop / (grid - 1) overflows, so no axis is built; only such values are run here,
+        # as a grid that does not overflow would allocate its axes
+        grid = "1" + "0" * 400
+        if argv == ["run"]:
+            config = tmp_path / "big.cfg"
+            config.write_text(f"bench=polar grid={grid}\n", encoding="utf-8")
+            argv = ["run", "--config", str(config)]
+        else:
+            argv = [*argv, "--grid", grid]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: grid must fit in a double, got 1329 bits\n"
+
+    @pytest.mark.parametrize("key", ["geometry", "parameters"])
+    def test_json_section_must_be_an_object(self, key, tmp_path, capsys):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"bench": "wedge", key: [1, 2]}), encoding="utf-8")
+        assert main(["run", "--config", str(config)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {key!r} must be an object\n"
 
     def test_help_exits_0(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -793,8 +811,8 @@ class TestAuditInputs:
         assert captured.err == "error: tolerance must be finite and >= 0, got inf\n"
 
     def test_nan_deviation_fails_under_an_infinite_tolerance(self):
-        diff = np.array([[math.nan], [0.0]])
-        assert not _audit("x", math.inf, ([0.0],), lambda alphas: diff).passed
+        # grid_audit rejects an infinite tolerance, so the report is built by hand
+        assert not NoSignalReport("x", 1, math.nan, (0.0,), math.inf).passed
 
     def test_none_keeps_each_audit_default(self):
         (polar,) = run_no_signal_audit("polar", tolerance=0.0)
@@ -803,8 +821,9 @@ class TestAuditInputs:
     @pytest.mark.parametrize("nan_call", ["first", "last"])
     @pytest.mark.parametrize("audit", ["polar", "mz", "wedge"])
     def test_nan_deviation_fails(self, audit, nan_call, monkeypatch):
-        module, name = ((polarization, "polar_bob_marginals") if audit == "polar"
-                        else (pathbench, "expected_bob_marginals"))
+        module, name = {"polar": (polarization, "polar_bob_marginals"),
+                        "mz": (pathbench, "expected_bob_marginals"),
+                        "wedge": (wedge, "expected_bob_marginals")}[audit]
         real = getattr(module, name)
         # each audit's grid here is one block of settings, so one call
         calls = {"polar": 1, "mz": 1, "wedge": 1}[audit]
@@ -859,7 +878,7 @@ class TestAuditInputs:
         report = audit_mz(grid=50)
         assert len(seen) == 7
         assert math.isnan(report.max_deviation) and not report.passed
-        alphas, phis = _linspace(math.pi / 2, 50), _linspace(2 * math.pi, 50)
+        alphas, phis = grid_axes(50, 2 * math.pi)
         # every phi_a and mode of that (alpha, phi_b) is NaN: the first in visiting order
         assert report.worst_at == ((alphas[8], 0.0, 0.0, "in") if nan_at == "first"
                                    else (alphas[15], 0.0, phis[49], "in"))
@@ -867,7 +886,7 @@ class TestAuditInputs:
 
 def _per_alpha_polar(grid: int) -> NoSignalReport:
     """``audit_polar`` as one kernel call per alpha, each on a float alpha."""
-    alphas, thetas = _linspace(math.pi / 2, grid), _linspace(math.pi, grid)
+    alphas, thetas = grid_axes(grid, math.pi)
     theta = np.array(thetas)
 
     def diff(block):  # axes (alpha, theta)
@@ -875,12 +894,12 @@ def _per_alpha_polar(grid: int) -> NoSignalReport:
                for alpha in block.tolist()]
         return np.stack(bob, axis=1) - 0.5
 
-    return _audit("polar", 1e-12, (alphas, thetas), diff)
+    return grid_audit("polar", 1e-12, (alphas, thetas), diff)
 
 
 def _per_alpha_mz(grid: int) -> NoSignalReport:
     """``audit_mz`` as one kernel call per alpha, each on a float alpha."""
-    alphas, phis = _linspace(math.pi / 2, grid), _linspace(2 * math.pi, grid)
+    alphas, phis = grid_axes(grid, 2 * math.pi)
     phi_a, modes = np.array(phis), list(pathbench.AliceMode)
     phi_b = phi_a[:, None]
 
@@ -890,28 +909,28 @@ def _per_alpha_mz(grid: int) -> NoSignalReport:
                for mode in modes]
         return np.stack(np.broadcast_arrays(*got), axis=-1) - want
 
-    return _audit("mz", 1e-12, (alphas, phis, phis, [mode.value for mode in modes]),
-                  lambda block: np.stack([diff(alpha) for alpha in block.tolist()], axis=1),
-                  lambda alpha, phi_b, phi_a, mode: (alpha, phi_a, phi_b, mode))
+    return grid_audit("mz", 1e-12, (alphas, phis, phis, [mode.value for mode in modes]),
+                      lambda block: np.stack([diff(alpha) for alpha in block.tolist()], axis=1),
+                      lambda alpha, phi_b, phi_a, mode: (alpha, phi_a, phi_b, mode))
 
 
 def _per_alpha_wedge(grid: int, geom: WedgeGeometry) -> NoSignalReport:
     """``audit_wedge`` as one kernel call per alpha, each on a float alpha."""
-    alphas, phis_b = _linspace(math.pi / 2, grid), _linspace(2 * math.pi, grid)
+    alphas, phis_b = grid_axes(grid, 2 * math.pi)
     phi_a, phi_b = np.array([0.0, math.pi / 2]), np.array(phis_b)[:, None]
 
     def diff(alpha):  # axes (phi_b, phi_a)
         got, _ = wedge._bob_singles(alpha, phi_a, phi_b, geom)
         return np.subtract(got, pathbench.expected_bob_marginals(alpha, phi_b).as_tuple())
 
-    return _audit("wedge", 1e-4, (alphas, phis_b, [0.0, math.pi / 2]),
-                  lambda block: np.stack([diff(alpha) for alpha in block.tolist()], axis=1),
-                  lambda alpha, phi_b, phi_a: (alpha, phi_a, phi_b))
+    return grid_audit("wedge", 1e-4, (alphas, phis_b, [0.0, math.pi / 2]),
+                      lambda block: np.stack([diff(alpha) for alpha in block.tolist()], axis=1),
+                      lambda alpha, phi_b, phi_a: (alpha, phi_a, phi_b))
 
 
 class TestAuditBlocks:
     """The audits evaluate a block of settings per kernel call, as ``output.grid_blocks``
-    cuts them, and ``_audit`` reduces each block as it comes; their reports equal those of
+    cuts them, and ``grid_audit`` reduces each block as it comes; their reports equal those of
     a call per alpha, across the edges of the blocks (mz's grid 50 takes blocks of 8
     alphas, 41 of 12, 100 of 2)."""
 
@@ -933,7 +952,7 @@ class TestAuditBlocks:
                 block[0, 0, nans[alpha]] = math.nan
             return block
 
-        report = _audit("x", 1.0, ([0, 1, 2], range(row)), diff)
+        report = grid_audit("x", 1.0, ([0, 1, 2], range(row)), diff)
         assert (report.worst_at, report.configurations) == (worst_at, 3 * row)
         assert math.isnan(report.max_deviation) if nans else report.max_deviation == 0.5
 
@@ -990,7 +1009,7 @@ class TestBlockPolicy:
 
     @staticmethod
     def sweep_axes(sweep, grid):
-        axes = (_linspace(math.pi / 2, grid), *[_linspace(2 * math.pi, grid)] * 2)
+        axes = grid_axes(grid, 2 * math.pi, 2 * math.pi)
         return axes if sweep is pathbench.mz_sweep else axes[:2]
 
     @pytest.mark.parametrize("name", SWEEPS)
@@ -1025,7 +1044,7 @@ class TestBlockPolicy:
         sizes = _alphas_per_call(monkeypatch, wedge, "_bob_singles")
         geom = WedgeGeometry(**SMALL_GEOMETRY)
         assert audit_wedge(grid=grid, geometry=geom).configurations == grid * grid * 2
-        alphas = _linspace(math.pi / 2, grid)
+        (alphas,) = grid_axes(grid)
         assert len(wedge.signal_difference_map(alphas, alphas, 0.0, geom)) == grid * grid
         assert sizes == [grid, grid]
 

@@ -95,6 +95,11 @@ class TestDistributionFromAmplitudes:
         b = distribution_from_amplitudes(rotated)
         assert a.as_tuple() == pytest.approx(b.as_tuple(), abs=1e-15)
 
+    @pytest.mark.parametrize("count", [3, 5])
+    def test_rejects_other_than_four_amplitudes(self, count):
+        with pytest.raises(ValueError, match=f"^expected 4 amplitudes, got {count}$"):
+            distribution_from_amplitudes((0.5,) * count)
+
     def test_unitarity_violation_carries_deficit(self):
         with pytest.raises(UnitarityError) as info:
             distribution_from_amplitudes((0.5, 0.0, 0.0, 0.0))

@@ -161,6 +161,11 @@ class TestBeamProfileValidation:
         with pytest.raises(ValueError):
             BeamProfile(grid=grid, field=np.zeros(3, dtype=complex))
 
+    @pytest.mark.parametrize("grid", [[1.0, 0.0, -1.0], [0.0, 0.0, 0.0], [0.0, 1.0, 1.0]])
+    def test_rejects_a_grid_that_does_not_increase(self, grid):
+        with pytest.raises(ValueError, match="^grid must be strictly increasing$"):
+            BeamProfile(grid=np.array(grid), field=np.zeros(3, dtype=complex))
+
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError):
             BeamProfile(grid=np.linspace(0, 1, 4), field=np.zeros(3, dtype=complex))

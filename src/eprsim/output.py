@@ -96,10 +96,9 @@ def grid_axes(grid: int, *stops: float) -> tuple[list[float], ...]:
     """The alpha axis over [0, pi/2], then one axis over [0, stop] per stop: ``grid`` evenly
     spaced points each, the one point 0.0 for a grid of 1."""
     _check_count("grid", grid, 1)
-    try:
-        steps = [stop / max(grid - 1, 1) for stop in (math.pi / 2, *stops)]
-    except OverflowError:  # an integer beyond the doubles
-        raise ValueError(f"grid must fit in a double, got {grid.bit_length()} bits") from None
+    if grid - 1 > 2**53:  # beyond it, neighbouring indices round to one double
+        raise ValueError(f"grid must fit in a double, got {int(grid).bit_length()} bits")
+    steps = [stop / max(grid - 1, 1) for stop in (math.pi / 2, *stops)]
     return tuple([i * step for i in range(grid)] for step in steps)
 
 

@@ -86,6 +86,13 @@ class PathConfig:
         object.__setattr__(self, "phi_b", canonical_angle(self.phi_b, "phi_b"))
         _check_mode(self.mode)
 
+    def outcomes(self) -> tuple[tuple[str, ...], tuple[float, ...], tuple[float, float, float]]:
+        """The outcome labels, their probabilities and the event settings (alpha, phi_a, phi_b):
+        the coincidences, or Bob's singles alone when Alice's beam is stopped."""
+        joint, bob = _probabilities(self.alpha, self.phi_a, self.phi_b, self.mode)
+        labels, dist = (BOB_OUTCOMES, bob) if joint is None else (PATH_OUTCOMES, joint)
+        return labels, dist.as_tuple(), (self.alpha, self.phi_a, self.phi_b)
+
 
 def _arm(phi, xp, splitter: bool):
     """One arm's rows (det1, det0) over (path 1, path 2): the phase shifter on

@@ -54,6 +54,11 @@ class PolarizationConfig:
         object.__setattr__(self, "alpha", canonical_angle(self.alpha, "alpha"))
         object.__setattr__(self, "theta", canonical_angle(self.theta, "theta"))
 
+    def outcomes(self) -> tuple[tuple[str, ...], tuple[float, ...], tuple[float, float, float]]:
+        """The outcome labels, their probabilities and the event settings (alpha, theta, 0.0)."""
+        return (POLAR_OUTCOMES, polar_joint_probabilities(self.alpha, self.theta).as_tuple(),
+                (self.alpha, self.theta, 0.0))
+
 
 def _amplitudes(alpha, theta):
     """Coincidence amplitudes (HH, HV, VH, VV) as (real, imaginary) pairs.

@@ -20,15 +20,8 @@ import numpy as np
 
 from .core import _check_count, _require_angle
 from .output import Table
-from .pathbench import (
-    BOB_OUTCOMES,
-    PATH_OUTCOMES,
-    AliceMode,
-    PathConfig,
-    mz_bob_marginals,
-    mz_joint_probabilities,
-)
-from .polarization import POLAR_OUTCOMES, PolarizationConfig, polar_joint_probabilities
+from .pathbench import PathConfig
+from .polarization import PolarizationConfig
 
 CHUNK_EVENTS = 65536
 
@@ -47,26 +40,9 @@ class SamplerSpec:
         _check_count("n", self.n, 0)
         _check_count("seed", self.seed, 0)
 
-    def outcome_labels(self) -> tuple[str, ...]:
-        if isinstance(self.config, PolarizationConfig):
-            return POLAR_OUTCOMES
-        if self.config.mode is AliceMode.BEAM_STOP:
-            return BOB_OUTCOMES
-        return PATH_OUTCOMES
-
-    def probabilities(self) -> tuple[float, ...]:
-        if isinstance(self.config, PolarizationConfig):
-            return polar_joint_probabilities(self.config.alpha, self.config.theta).as_tuple()
-        c = self.config
-        if c.mode is AliceMode.BEAM_STOP:
-            return mz_bob_marginals(c.alpha, c.phi_a, c.phi_b, c.mode).as_tuple()
-        return mz_joint_probabilities(c.alpha, c.phi_a, c.phi_b, c.mode).as_tuple()
-
     def settings(self) -> tuple[float, float, float]:
         """(alpha, setting_a, setting_b) for event metadata."""
-        if isinstance(self.config, PolarizationConfig):
-            return (self.config.alpha, self.config.theta, 0.0)
-        return (self.config.alpha, self.config.phi_a, self.config.phi_b)
+        return self.config.outcomes()[2]
 
 
 @dataclass(frozen=True)
@@ -77,7 +53,7 @@ class SampleResult:
     codes: np.ndarray
 
     def labels(self) -> tuple[str, ...]:
-        return self.spec.outcome_labels()
+        return self.spec.config.outcomes()[0]
 
 
 def _chunk_codes(cumulative: np.ndarray, count: int, entropy: tuple[int, ...]) -> np.ndarray:
@@ -125,13 +101,13 @@ def _sample_counts(probabilities: tuple[float, ...], n: int, entropy_base: tuple
 
 def sample_outcome_codes(spec: SamplerSpec, workers: int = 1) -> SampleResult:
     """Draw spec.n outcome codes; identical stream for any worker count."""
-    chunks = _per_chunk(_chunk_codes, spec.probabilities(), spec.n, (spec.seed,), workers)
+    chunks = _per_chunk(_chunk_codes, spec.config.outcomes()[1], spec.n, (spec.seed,), workers)
     return SampleResult(spec, np.concatenate(chunks) if chunks else np.empty(0, np.uint8))
 
 
 def sample_outcome_counts(spec: SamplerSpec, workers: int = 1) -> np.ndarray:
     """Each outcome's count among spec.n events, in label order: the codes' bincount."""
-    return _sample_counts(spec.probabilities(), spec.n, (spec.seed,), workers)
+    return _sample_counts(spec.config.outcomes()[1], spec.n, (spec.seed,), workers)
 
 
 @dataclass(frozen=True)
@@ -191,13 +167,13 @@ def estimate_chsh(
     for idx, (ta, tb) in enumerate(pairs):
         # alpha = 0: rotational invariance lets one analyzer carry the
         # relative angle while the other stays fixed
-        dist = polar_joint_probabilities(0.0, ta - tb)
+        probabilities = PolarizationConfig(0.0, ta - tb).outcomes()[1]
         if n is None:
-            p11, p10, p01, p00 = dist.as_tuple()
+            p11, p10, p01, p00 = probabilities
             e = p11 - p10 - p01 + p00
             var = 0.0
         else:
-            counts = _sample_counts(dist.as_tuple(), n, (seed, idx))
+            counts = _sample_counts(probabilities, n, (seed, idx))
             same = int(counts[0] + counts[3])
             e = same / n - (n - same) / n
             var = (1.0 - e * e) / n

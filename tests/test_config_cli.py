@@ -721,8 +721,8 @@ class TestUsageErrors:
     @pytest.mark.parametrize("argv", [["polar"], ["mz"], ["mz", "--marginals"], ["diffmap"],
                                       ["audit", "--bench", "polar"], ["run"]])
     def test_grid_too_large_for_a_double(self, argv, tmp_path, capsys):
-        # stop / (grid - 1) overflows, so no axis is built; only such values are run here,
-        # as a grid that does not overflow would allocate its axes
+        # far above the grid - 1 = 2**53 bound, so no axis is built; only such values are run
+        # here, as a grid within the bound would allocate its axes
         grid = "1" + "0" * 400
         if argv == ["run"]:
             config = tmp_path / "big.cfg"
@@ -734,6 +734,22 @@ class TestUsageErrors:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: grid must fit in a double, got 1329 bits\n"
+
+    @pytest.mark.parametrize("grid", [2**53 + 2, 10**20, 2**1024 - 2**970])
+    @pytest.mark.parametrize("argv", [["polar"], ["mz", "--marginals"], ["diffmap"],
+                                      ["audit", "--bench", "polar"]])
+    def test_grid_beyond_evenly_spaced_doubles(self, argv, grid, capsys):
+        # above grid - 1 = 2**53 neighbouring indices round to one double, so these are
+        # rejected before any axis is built; a grid below the limit that does not fit in
+        # memory is not run here
+        assert main([*argv, "--grid", str(grid)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: grid must fit in a double, got {grid.bit_length()} bits\n"
+
+    def test_numpy_grid_beyond_evenly_spaced_doubles(self):
+        with pytest.raises(ValueError, match="^grid must fit in a double, got 61 bits$"):
+            grid_axes(np.int64(2**60), math.pi)
 
     @pytest.mark.parametrize("key", ["geometry", "parameters"])
     def test_json_section_must_be_an_object(self, key, tmp_path, capsys):

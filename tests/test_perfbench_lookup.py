@@ -2,10 +2,13 @@
 
 perfbench finds eprsim's functions by name in whichever module defines them
 (``perfbench/api.py``), so a function may move between modules but must keep its
-name and call signature.  This reads ``perfbench/`` and writes nothing there.
+name and call signature.  The few classes it imports directly, with
+``from eprsim.<module> import ...``, must stay in that module and keep the
+arguments it passes them.  This reads ``perfbench/`` and writes nothing there.
 """
 
 import ast
+import importlib
 import importlib.util
 import inspect
 import re
@@ -81,3 +84,62 @@ def test_audits_keep_their_positional_parameters(api, name, positional):
     params = list(inspect.signature(api.find(name)).parameters.values())
     assert [p.name for p in params] == positional
     assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in params)
+
+
+def _imports() -> dict[str, str]:
+    """Each name perfbench's sources import with ``from eprsim.<module> import``: its module."""
+    return {alias.name: node.module for path in sorted(PERFBENCH.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("eprsim.")
+            for alias in node.names}
+
+
+def _uses() -> list[ast.AST]:
+    """Every call of, and attribute read from, one of those names in perfbench's sources."""
+    names = _imports()
+    return [node for path in sorted(PERFBENCH.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, (ast.Call, ast.Attribute))
+            and isinstance(target := node.func if isinstance(node, ast.Call) else node.value,
+                           ast.Name) and target.id in names]
+
+
+def _imported(name: str):
+    return getattr(importlib.import_module(_imports()[name]), name)
+
+
+def test_the_imports_are_read():
+    assert {"AliceMode": "eprsim.pathbench", "PathConfig": "eprsim.pathbench",
+            "SamplerSpec": "eprsim.sampler", "WedgeGeometry": "eprsim.wedge"}.items() <= \
+        _imports().items()
+    assert sum(isinstance(node, ast.Call) for node in _uses()) >= 4
+
+
+@pytest.mark.parametrize("name", sorted(_imports()))
+def test_imported_name_is_in_its_module(name):
+    assert hasattr(importlib.import_module(_imports()[name]), name)
+
+
+@pytest.mark.parametrize("node", _uses(), ids=ast.unparse)
+def test_each_use_binds(node):
+    if isinstance(node, ast.Attribute):
+        assert hasattr(_imported(node.value.id), node.attr)
+        return
+    assert not any(isinstance(arg, ast.Starred) for arg in node.args)
+    assert all(keyword.arg for keyword in node.keywords)
+    inspect.signature(_imported(node.func.id)).bind(
+        *node.args, **{keyword.arg: None for keyword in node.keywords})
+
+
+def test_sampler_classes_keep_their_argument_order(api):
+    # perfbench calls PathConfig(alpha, phi_a, phi_b, AliceMode.SPLITTER_IN), then
+    # sample_outcome_codes(SamplerSpec(config, n=..., seed=...), workers) and reads .codes
+    path_config, mode, spec = _imported("PathConfig"), _imported("AliceMode"), \
+        _imported("SamplerSpec")
+    assert list(inspect.signature(path_config).parameters) == ["alpha", "phi_a", "phi_b", "mode"]
+    assert list(inspect.signature(spec).parameters) == ["config", "n", "seed"]
+    config = path_config(0.1, 0.2, 0.3, mode.SPLITTER_IN)
+    assert (config.alpha, config.phi_a, config.phi_b, config.mode) == \
+        (0.1, 0.2, 0.3, mode.SPLITTER_IN)
+    result = api.find("sample_outcome_codes")(spec(config, n=5, seed=1), 2)
+    assert (result.spec.n, result.spec.seed, result.codes.shape) == (5, 1, (5,))

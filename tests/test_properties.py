@@ -4,8 +4,10 @@ Each bench property is checked on both evaluation paths: Python floats
 (the scalar API) and numpy arrays (what the sweeps and audits pass).
 """
 
+import math
+
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eprsim import pathbench, polarization
@@ -67,6 +69,48 @@ def test_mz_bob_singles_ignore_alice(alpha, phi_a, other_phi_a, phi_b, path):
             got = pathbench.mz_bob_marginals(alpha, setting, phi_b, mode)
             assert off_by(got.p_b1, want.p_b1) <= TOL
             assert off_by(got.p_b0, want.p_b0) <= TOL
+
+
+def bits(values) -> list[str]:
+    """Each float's exact bits, -0.0 apart from 0.0."""
+    return [float(v).hex() for v in values]
+
+
+@PROPERTY
+@given(ANGLES, ANGLES)
+@example(0.0, -0.0)
+@example(-0.0, 0.0)
+@example(-1e-300, 2 * math.pi)
+@example(-7.5, 1e300)
+def test_polar_outcomes_are_the_kernels(alpha, theta):
+    """A config states the coincidence labels, the kernel's bits and its canonical settings."""
+    labels, probabilities, event_settings = PolarizationConfig(alpha, theta).outcomes()
+    assert labels == ("HH", "HV", "VH", "VV")
+    assert bits(probabilities) == \
+        bits(polarization.polar_joint_probabilities(alpha, theta).as_tuple())
+    assert bits(event_settings) == bits((canonical_angle(alpha), canonical_angle(theta), 0.0))
+
+
+@PROPERTY
+@given(ANGLES, ANGLES, ANGLES, MODES)
+@example(-0.0, 0.0, -0.0, AliceMode.SPLITTER_IN)
+@example(0.0, -0.0, -0.0, AliceMode.SPLITTER_OUT)
+@example(-0.0, -0.0, 0.0, AliceMode.BEAM_STOP)
+@example(-1e-300, 13.0, -2 * math.pi, AliceMode.SPLITTER_IN)
+@example(7.0, -1e300, 1e300, AliceMode.SPLITTER_OUT)
+@example(-7.0, 9.5, -1e-300, AliceMode.BEAM_STOP)
+def test_path_outcomes_are_the_kernels(alpha, phi_a, phi_b, mode):
+    """The coincidences with Alice's splitter in or out; Bob's two singles alone when her
+    beam is stopped."""
+    labels, probabilities, event_settings = PathConfig(alpha, phi_a, phi_b, mode).outcomes()
+    if mode is AliceMode.BEAM_STOP:
+        want = ("B1", "B0"), pathbench.mz_bob_marginals(alpha, phi_a, phi_b, mode)
+    else:
+        want = ("A1B1", "A1B0", "A0B1", "A0B0"), \
+            pathbench.mz_joint_probabilities(alpha, phi_a, phi_b, mode)
+    assert labels == want[0]
+    assert bits(probabilities) == bits(want[1].as_tuple())
+    assert bits(event_settings) == bits(map(canonical_angle, (alpha, phi_a, phi_b)))
 
 
 @settings(derandomize=True, max_examples=25, deadline=None)

@@ -64,12 +64,10 @@ class TestSamplerSpec:
         assert len(codes) == 0 and codes.dtype == np.uint8
 
     def test_outcome_labels_per_bench(self):
-        assert POLAR_SPEC.outcome_labels() == ("HH", "HV", "VH", "VV")
-        assert PATH_SPEC.outcome_labels() == ("A1B1", "A1B0", "A0B1", "A0B0")
-        stopped = SamplerSpec(
-            config=PathConfig(0.0, 0.0, 0.0, AliceMode.BEAM_STOP), n=1, seed=0
-        )
-        assert stopped.outcome_labels() == ("B1", "B0")
+        assert POLAR_SPEC.config.outcomes()[0] == ("HH", "HV", "VH", "VV")
+        assert PATH_SPEC.config.outcomes()[0] == ("A1B1", "A1B0", "A0B1", "A0B0")
+        stopped = PathConfig(0.0, 0.0, 0.0, AliceMode.BEAM_STOP)
+        assert stopped.outcomes()[0] == ("B1", "B0")
 
     def test_settings_polar_pads_bob_slot(self):
         assert POLAR_SPEC.settings() == (0.0, math.pi / 8, 0.0)
@@ -155,7 +153,7 @@ class TestSampledStatistics:
     def test_joint_frequencies_track_probabilities(self):
         spec = SamplerSpec(config=PATH_SPEC.config, n=200_000, seed=2)
         freqs = sample_outcome_counts(spec) / spec.n
-        for freq, p in zip(freqs, spec.probabilities()):
+        for freq, p in zip(freqs, spec.config.outcomes()[1]):
             se = math.sqrt(p * (1.0 - p) / spec.n)
             assert abs(freq - p) < 5 * se
 
@@ -199,7 +197,7 @@ class TestEventRecords:
         assert len(events) == 5
         assert events[0] == (0, events[0][1], 0.0, math.pi / 3, math.pi / 5)
         assert [e[0] for e in events] == list(range(5))
-        assert all(e[1] in spec.outcome_labels() for e in events)
+        assert all(e[1] in spec.config.outcomes()[0] for e in events)
 
     def test_events_table_schema(self):
         table = events_table(sample_outcome_codes(POLAR_SPEC))
@@ -207,7 +205,7 @@ class TestEventRecords:
         assert len(rows(table)) == POLAR_SPEC.n
         index, outcome, alpha, set_a, set_b = rows(table)[0]
         assert (index, alpha, set_a, set_b) == (0, 0.0, math.pi / 8, 0.0)
-        assert outcome in POLAR_SPEC.outcome_labels()
+        assert outcome in POLAR_SPEC.config.outcomes()[0]
 
 
 class TestChshEstimate:
@@ -360,7 +358,7 @@ class TestCounts:
     def test_sample_outcome_counts_are_the_streams_bincount(self, config, workers):
         spec = SamplerSpec(config=config, n=3 * CHUNK_EVENTS + 17, seed=3)
         codes = sample_outcome_codes(spec, workers=1).codes
-        want = np.bincount(codes, minlength=len(spec.outcome_labels()))
+        want = np.bincount(codes, minlength=len(config.outcomes()[0]))
         assert sample_outcome_counts(spec, workers=workers).tolist() == want.tolist()
 
     def test_zero_events_count_zero_of_each(self):

@@ -420,6 +420,32 @@ class TestCliFiles:
         assert lines[0] == "x,mag_a1,mag_a2,density_b1,density_b0"
         assert len(lines) > 1000
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("via", ["flags", "config"])
+    @pytest.mark.parametrize("key, value", [
+        ("n", "-1"), ("n", "2.5"), ("n", "many"),
+        ("seed", "-1"), ("seed", "0.5"),
+        ("workers", "0"), ("workers", "-3"), ("workers", "1.5"),
+    ])
+    def test_sample_checks_before_the_first_byte(self, key, value, via, fmt, tmp_path, capsys):
+        # a rejected value leaves an existing --out file as it was and prints no table
+        path = tmp_path / "events.out"
+        path.write_bytes(b"kept\n")
+        settings = {"bench": "mz", "n": "70000", key: value, "format": fmt, "out": str(path)}
+        if via == "flags":
+            argv = ["sample", *(f"--{k}={v}" for k, v in settings.items())]
+        else:
+            config = tmp_path / "sample.cfg"
+            config.write_text("bench=sample " + " ".join(f"parameters.{k}={v}"
+                                                         for k, v in settings.items()) + "\n",
+                              encoding="utf-8")
+            argv = ["run", "--config", str(config)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and key in captured.err
+        assert path.read_bytes() == b"kept\n"
+
 
 class TestConfigKeys:
     def test_boolean_keys(self):

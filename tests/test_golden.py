@@ -8,7 +8,8 @@ events and ``--summary``, chsh analytic and sampled, audit lines), each
 table in both ``--format csv`` and ``--format json``.  ``STREAMS``, the
 ``--workers 1`` and ``3`` summaries and ``chsh --n 200000`` draw more than
 one sampler chunk, so they pin the chunk seeding and the draw across chunk
-boundaries (event streams in CSV only).  ``mz --marginals --grid 91`` and
+boundaries; ``LISTINGS`` pins one such stream in JSON and at ``--workers 3``,
+and the listing of no events in both formats.  ``mz --marginals --grid 91`` and
 ``mz --grid 21`` span two render blocks, so they pin how a column that is
 constant in one block but not the other is rendered; ``polar --grid 91``
 spans two blocks whose columns come in bit-equal pairs.  A refactor of
@@ -185,6 +186,22 @@ STREAMS = {
         0, '3bef450f85c4d99abac9560543e3b1c52f026f132f9aef4bcabe2ef0eca25f00'),
 }
 
+MZ_STREAM = (f"sample --bench mz --alpha pi/8 --phi-a pi/3 --phi-b pi/5 --bs-a in "
+             f"--n {MULTI_CHUNK} --seed 12")
+
+# one multi-chunk stream in JSON, and its CSV at 3 workers, which must be the bytes
+# written at 1; and a listing of no events, which still prints the header or an empty
+# document
+LISTINGS = {
+    f"{MZ_STREAM} --format json": (
+        0, '5c5aa6b89a8fc2ae463030929bb164e19fbb9e8cccc17404378a277e053d3577'),
+    f"{MZ_STREAM} --format csv --workers 3": STREAMS[f"{MZ_STREAM} --format csv"],
+    "sample --n 0 --format csv": (
+        0, 'da3fe1e795858d6e0c127e90e8be041346378bdaa11bbb2c0080bafd92bad6f1'),
+    "sample --n 0 --format json": (
+        0, '609dbbae0fa3a2bbf1e5e9a1faf000750b433d80cadc3f6b4b0dc6fcef3392e3'),
+}
+
 # audit prints report lines only; exit code 2 marks a failed audit
 AUDITS = {
     "audit --bench polar --grid 20": (0, 'aef52d3b008c5d96a0aae65e01595256a6dadd1ae647464429d2df4088d77125'),
@@ -199,6 +216,7 @@ CASES = {
        for cmd, pair in TABLES.items() for fmt, want in zip(("csv", "json"), pair)},
     **AUDITS,
     **STREAMS,
+    **LISTINGS,
 }
 
 

@@ -6,8 +6,8 @@ One subcommand per bench plus ``sample`` (event streams), ``chsh``
 (any of the above, driven by a config file).  ``COMMANDS`` declares each
 subcommand's handler and parameters once; the parser, config-file
 validation and ``run`` are all built from it.  A handler returns what it
-computed, a ``Table`` or the audit's reports, and writes nothing;
-``main`` alone writes it and picks the exit code.
+computed, a ``Table`` (one per chunk for an event listing) or the audit's
+reports, and writes nothing; ``main`` alone writes it and picks the exit code.
 
 Exit codes: 0 success, 1 usage or config error, 2 audit found a
 deviation above tolerance.
@@ -19,6 +19,7 @@ import argparse
 import math
 import re
 import sys
+from collections.abc import Iterator
 
 from . import pathbench, polarization
 from .config import Command, ConfigError, Param, geometry_item, make_geometry, parse_config
@@ -74,7 +75,7 @@ def _cmd_diffmap(args) -> Table:
                                        make_geometry(args.geom))
 
 
-def _cmd_sample(args) -> Table:
+def _cmd_sample(args) -> Table | Iterator[Table]:
     from . import sampler
     config = (polarization.PolarizationConfig(args.alpha, args.theta) if args.bench == "polar"
               else pathbench.PathConfig(args.alpha, args.phi_a, args.phi_b, AliceMode(args.mode)))
@@ -85,7 +86,7 @@ def _cmd_sample(args) -> Table:
             ("n", "p_b1", "p_b0", "se_b1", "se_b0"),
             [(marg.n, marg.p_b1, marg.p_b0, marg.se_b1, marg.se_b0)],
         )
-    return sampler.events_table(sampler.sample_outcome_codes(spec, workers=args.workers))
+    return sampler.sample_events(spec, workers=args.workers)
 
 
 def _cmd_chsh(args) -> Table:
@@ -216,14 +217,13 @@ def main(argv: list[str] | None = None) -> int:
             args = parser.parse_args([cfg.bench])
             vars(args).update(cfg.parameters, geom=list(cfg.geometry.items()))
         result = args.handler(args)
-        if isinstance(result, Table):
-            emit_table(result, fmt=args.format, path=args.out)
-            if args.out is not None:
-                sys.stderr.write(f"wrote {args.out}\n")
-            return 0
-        for report in result:
-            sys.stdout.write(report.line() + "\n")
-        return 0 if all(report.passed for report in result) else 2
+        if isinstance(result, list):  # the audit's reports
+            sys.stdout.writelines(report.line() + "\n" for report in result)
+            return 0 if all(report.passed for report in result) else 2
+        emit_table(result, fmt=args.format, path=args.out)
+        if args.out is not None:
+            sys.stderr.write(f"wrote {args.out}\n")
+        return 0
     except (ValueError, OSError) as exc:  # ConfigError and SamplingError included
         sys.stderr.write(f"error: {exc}\n")
         return 1

@@ -20,7 +20,9 @@ from __future__ import annotations
 
 import math
 import sys
+from collections.abc import Iterable
 from dataclasses import dataclass
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
@@ -233,13 +235,11 @@ def render_csv(table: Table) -> str:
     return "".join(_csv_blocks(table))
 
 
-def render_json(table: Table) -> str:
+def render_json(table: Table, more: Iterable[Table] = ()) -> str:
+    """One document of ``table``'s columns, then its rows and those of each of ``more``."""
     import json  # imported here, so that a CSV command does not load it at start
-    payload = {
-        "columns": list(table.columns),
-        "rows": list(zip(*map(_json_values, table.data))),
-    }
-    return json.dumps(payload, indent=2, sort_keys=False) + "\n"
+    rows = list(chain.from_iterable(zip(*map(_json_values, t.data)) for t in chain([table], more)))
+    return json.dumps({"columns": list(table.columns), "rows": rows}, indent=2) + "\n"
 
 
 def _json_values(column: np.ndarray) -> list:
@@ -250,14 +250,20 @@ def _json_values(column: np.ndarray) -> list:
     return column.tolist()
 
 
-def emit_table(table: Table, fmt: str = "csv", path: str | Path | None = None) -> None:
-    """Write a table to ``path``, or to stdout when it is None, one CSV block at a time."""
-    if fmt == "csv":
-        blocks = _csv_blocks(table)
-    elif fmt == "json":
-        blocks = [render_json(table)]
-    else:
+def emit_table(table: Table | Iterable[Table], fmt: str = "csv",
+               path: str | Path | None = None) -> None:
+    """Write a table, or an iterable of same-column tables as one, to ``path``, or to stdout
+    when it is None.  CSV goes one block at a time and takes each table once the one before
+    is written, so an event listing holds one sampler chunk; JSON joins the rows into one
+    document.  The first table is made before the file opens: a failure there writes nothing."""
+    if fmt not in ("csv", "json"):
         raise ValueError(f"unknown format {fmt!r}; expected 'csv' or 'json'")
+    tables = iter([table] if isinstance(table, Table) else table)
+    if fmt == "csv":  # the header once; map, unlike a loop, keeps no table past its blocks
+        rest = map(lambda later: islice(_csv_blocks(later), 1, None), tables)
+        blocks = chain(_csv_blocks(next(tables)), chain.from_iterable(rest))
+    else:
+        blocks = [render_json(next(tables), tables)]
     if path is None:
         sys.stdout.writelines(blocks)
     else:

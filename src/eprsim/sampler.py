@@ -7,13 +7,14 @@ who computes a chunk, never what it contains, so a given (spec, seed)
 produces an identical outcome stream for any worker count.  An event's
 code is the number of cumulative-probability edges, the last one left out,
 at or below its uniform draw u.  Statistics come from per-chunk outcome
-counts, one count_nonzero pass per edge, so their memory does not grow with
-n: only the event listing holds codes.
+counts, one count_nonzero pass per edge, and the event listing is drawn a
+chunk at a time as it is written, so neither's memory grows with n.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,11 +77,11 @@ def _chunk_counts(cumulative: np.ndarray, count: int, entropy: tuple[int, ...]) 
 
 
 def _per_chunk(kernel, probabilities: tuple[float, ...], n: int,
-               entropy_base: tuple[int, ...], workers: int) -> list[np.ndarray]:
-    """kernel(cumulative, count, entropy) of each chunk of n events, in chunk order."""
+               entropy_base: tuple[int, ...], workers: int) -> Iterator[np.ndarray]:
+    """kernel(cumulative, count, entropy) of each chunk of n events (n = 0: one), in order."""
     _check_count("workers", workers, 1)
     cumulative = np.cumsum(probabilities)
-    n_chunks = (n + CHUNK_EVENTS - 1) // CHUNK_EVENTS
+    n_chunks = max(1, (n + CHUNK_EVENTS - 1) // CHUNK_EVENTS)
 
     def one(i: int) -> np.ndarray:
         count = min(CHUNK_EVENTS, n - i * CHUNK_EVENTS)
@@ -89,8 +90,9 @@ def _per_chunk(kernel, probabilities: tuple[float, ...], n: int,
     if workers > 1 and n_chunks > 1:
         from concurrent.futures import ThreadPoolExecutor  # imported here: only threads need it
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(one, range(n_chunks)))
-    return [one(i) for i in range(n_chunks)]
+            yield from pool.map(one, range(n_chunks))  # all submitted: may queue ahead
+    else:
+        yield from map(one, range(n_chunks))
 
 
 def _sample_counts(probabilities: tuple[float, ...], n: int, entropy_base: tuple[int, ...],
@@ -102,7 +104,7 @@ def _sample_counts(probabilities: tuple[float, ...], n: int, entropy_base: tuple
 def sample_outcome_codes(spec: SamplerSpec, workers: int = 1) -> SampleResult:
     """Draw spec.n outcome codes; identical stream for any worker count."""
     chunks = _per_chunk(_chunk_codes, spec.config.outcomes()[1], spec.n, (spec.seed,), workers)
-    return SampleResult(spec, np.concatenate(chunks) if chunks else np.empty(0, np.uint8))
+    return SampleResult(spec, np.concatenate(list(chunks)))
 
 
 def sample_outcome_counts(spec: SamplerSpec, workers: int = 1) -> np.ndarray:
@@ -189,12 +191,19 @@ def estimate_chsh(
     )
 
 
-def events_table(result: SampleResult) -> Table:
-    """Event stream as an emittable table: the index, the outcome label and the
-    three constant settings, one column each."""
+def events_table(result: SampleResult, start: int = 0) -> Table:
+    """Event stream as an emittable table: the index, counted from ``start``, the outcome
+    label and the three constant settings, one column each."""
     n = len(result.codes)
     return Table(
         columns=("index", "outcome", "alpha", "setting_a", "setting_b"),
-        data=(np.arange(n), np.array(result.labels())[result.codes],
+        data=(np.arange(start, start + n), np.array(result.labels())[result.codes],
               *(np.broadcast_to(value, n) for value in result.spec.settings())),
     )
+
+
+def sample_events(spec: SamplerSpec, workers: int = 1) -> Iterator[Table]:
+    """``events_table`` of each chunk of spec's stream in turn, each drawn as it is taken."""
+    chunks = _per_chunk(_chunk_codes, spec.config.outcomes()[1], spec.n, (spec.seed,), workers)
+    for i, codes in enumerate(chunks):
+        yield events_table(SampleResult(spec, codes), start=i * CHUNK_EVENTS)

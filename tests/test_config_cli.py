@@ -667,6 +667,11 @@ class TestHandlers:
         if bench == "audit":
             assert isinstance(result, list) and result
             assert all(isinstance(r, NoSignalReport) for r in result)
+        elif bench == "sample" and not args.summary:
+            # an event listing: the table of each sampler chunk in turn, one column set
+            tables = list(result)
+            assert tables and all(isinstance(t, Table) for t in tables)
+            assert {t.columns for t in tables} == {tables[0].columns}
         else:
             assert isinstance(result, Table)
         assert capsys.readouterr().out == ""

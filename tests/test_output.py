@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -320,13 +321,18 @@ class TestEmit:
         emit_table(SAMPLE, fmt="csv", path=path)
         assert path.read_text(encoding="utf-8") == render_csv(SAMPLE)
 
+    @pytest.mark.parametrize("parts", [1, 2, 3], ids=["table", "2 tables", "3 tables"])
     @pytest.mark.parametrize("to_file", [True, False], ids=["file", "stdout"])
     @pytest.mark.parametrize("fmt, render", [("csv", render_csv), ("json", render_json)])
-    def test_many_blocks_equal_the_rendered_text(self, fmt, render, to_file, tmp_path, capsys):
-        n = BLOCK_ROWS + 5
+    def test_many_blocks_equal_the_rendered_text(self, fmt, render, to_file, parts, tmp_path,
+                                                 capsys):
+        # a table, or its rows cut at block boundaries into tables written in turn
+        n = 2 * BLOCK_ROWS + 5
         table = Table(("i", "x", "s"), (np.arange(n), np.arange(n) / 7, np.array(["a"] * n)))
+        cuts = [0, *range(BLOCK_ROWS, n, BLOCK_ROWS)][:parts] + [n]
         path = tmp_path / "t.out" if to_file else None
-        emit_table(table, fmt=fmt, path=path)
+        emit_table(table if parts == 1 else (Table(table.columns, [c[a:b] for c in table.data])
+                                             for a, b in zip(cuts, cuts[1:])), fmt=fmt, path=path)
         out = capsys.readouterr().out
         if to_file:
             assert out == ""
@@ -336,3 +342,33 @@ class TestEmit:
     def test_rejects_unknown_format(self):
         with pytest.raises(ValueError, match="format"):
             emit_table(SAMPLE, fmt="yaml")
+
+    def test_takes_each_table_once_the_one_before_is_written(self, monkeypatch):
+        taken, written = [], []
+
+        def tables():
+            for k in range(3):
+                taken.append(k)
+                yield Table(("i",), (np.arange(k * BLOCK_ROWS, (k + 1) * BLOCK_ROWS),))
+
+        class Out:
+            @staticmethod
+            def writelines(texts):
+                written.extend((len(taken), text.count("\n")) for text in texts)
+
+        monkeypatch.setattr(sys, "stdout", Out())
+        emit_table(tables())
+        # the header once, then each table's one block, written before the next is taken
+        assert written == [(1, 1), (1, BLOCK_ROWS), (2, BLOCK_ROWS), (3, BLOCK_ROWS)]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_first_table_is_made_before_the_file_opens(self, fmt, tmp_path):
+        def failing():
+            raise ValueError("no table")
+            yield
+
+        path = tmp_path / "t.out"
+        path.write_bytes(b"kept\n")
+        with pytest.raises(ValueError, match="no table"):
+            emit_table(failing(), fmt=fmt, path=path)
+        assert path.read_bytes() == b"kept\n"

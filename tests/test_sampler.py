@@ -1,13 +1,19 @@
 """Click-stream sampling: determinism, statistics, and the CHSH estimator."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import eprsim
 from eprsim import cli, sampler
+from eprsim.output import emit_table
 from eprsim.pathbench import BOB_OUTCOMES, PATH_OUTCOMES, AliceMode, PathConfig
 from eprsim.polarization import POLAR_OUTCOMES, PolarizationConfig, polar_joint_probabilities
 from eprsim.sampler import (
@@ -19,6 +25,7 @@ from eprsim.sampler import (
     empirical_marginals,
     estimate_chsh,
     events_table,
+    sample_events,
     sample_outcome_codes,
     sample_outcome_counts,
 )
@@ -207,6 +214,73 @@ class TestEventRecords:
         assert (index, alpha, set_a, set_b) == (0, 0.0, math.pi / 8, 0.0)
         assert outcome in POLAR_SPEC.config.outcomes()[0]
 
+    def test_index_counts_from_start(self):
+        result = sample_outcome_codes(SamplerSpec(config=PATH_SPEC.config, n=4, seed=1))
+        shifted, plain = events_table(result, start=2**40), events_table(result)
+        assert shifted.data[0].tolist() == [2**40 + i for i in range(4)]
+        assert shifted.data[0].dtype == plain.data[0].dtype
+        assert all(np.array_equal(a, b) for a, b in zip(shifted.data[1:], plain.data[1:]))
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("n", [0, 5, CHUNK_EVENTS, 2 * CHUNK_EVENTS + 3])
+    def test_events_by_chunk_are_the_events_table(self, n, workers):
+        # one table per sampler chunk (one empty table for n = 0), whose rows in turn are
+        # the rows, dtypes and bytes of the whole stream's table
+        spec = SamplerSpec(config=PATH_SPEC.config, n=n, seed=2)
+        tables = list(sample_events(spec, workers))
+        assert [len(t) for t in tables] == [min(CHUNK_EVENTS, n - start)
+                                            for start in range(0, max(n, 1), CHUNK_EVENTS)]
+        whole = events_table(sample_outcome_codes(spec))
+        assert all(t.columns == whole.columns for t in tables)
+        for parts, column in zip(zip(*(t.data for t in tables)), whole.data):
+            assert np.concatenate(parts).dtype == column.dtype
+            assert np.array_equal(np.concatenate(parts), column)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_listing_checks_its_workers_before_the_file_opens(self, fmt, tmp_path):
+        # the generator's first chunk is drawn before emit_table opens the file
+        path = tmp_path / "events.out"
+        path.write_bytes(b"kept\n")
+        with pytest.raises(ValueError, match="workers"):
+            emit_table(sample_events(POLAR_SPEC, workers=0), fmt=fmt, path=path)
+        assert path.read_bytes() == b"kept\n"
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads ru_maxrss in KiB, as Linux gives it")
+class TestListingMemory:
+    """An event listing writes each chunk's rows before it draws the next chunk, so its
+    peak memory does not grow with n."""
+
+    # fixed before the first run.  At 2e6 events a listing that held the whole stream read
+    # 30 MB (1 worker) and 33 MB (2) above the one-chunk listing; one that writes a chunk
+    # before it draws the next reads 0.3 MB and 4 MB, the codes drawn ahead at 2 workers
+    BOUND_MB = 8
+
+    # a child's peak RSS as os.wait4 reports it counts the memory of the process that
+    # started it, so a small process of its own starts the listing, not this test process
+    SPAWN = ("import os, sys\n"
+             "pid = os.posix_spawn(sys.executable, [sys.executable, *sys.argv[1:]], os.environ)\n"
+             "_, status, usage = os.wait4(pid, 0)\n"
+             "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)\n")
+
+    def peak_mb(self, n: int, workers: int, tmp_path: Path) -> float:
+        """Peak resident memory of ``python -m eprsim sample`` writing n events to a file."""
+        path = os.pathsep.join(filter(None, [str(Path(eprsim.__file__).parents[1]),
+                                             os.environ.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", self.SPAWN, "-m", "eprsim", "sample", "--n", str(n),
+             "--workers", str(workers), "--out", str(tmp_path / "events.csv")],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, timeout=120)
+        status, peak_kib = map(int, done.stdout.split())
+        assert (done.returncode, status) == (0, 0), done.stderr
+        return peak_kib / 1024
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_peak_does_not_grow_with_n(self, workers, tmp_path):
+        one_chunk = self.peak_mb(CHUNK_EVENTS, workers, tmp_path)
+        many = self.peak_mb(2_000_000, workers, tmp_path)
+        assert many - one_chunk < self.BOUND_MB, (one_chunk, many)
+
 
 class TestChshEstimate:
     STANDARD = (0.0, math.pi / 8, math.pi / 4, 3 * math.pi / 8)
@@ -373,7 +447,7 @@ class TestCounts:
         for idx, ((ta, tb), e) in enumerate(zip(((a, b), (a, bp), (ap, b), (ap, bp)),
                                                est.correlations)):
             probabilities = polar_joint_probabilities(0.0, ta - tb).as_tuple()
-            codes = np.concatenate(_per_chunk(_chunk_codes, probabilities, n, (4, idx), 1))
+            codes = np.concatenate(list(_per_chunk(_chunk_codes, probabilities, n, (4, idx), 1)))
             same = (codes == 0) | (codes == 3)
             assert e == float(same.mean() - (~same).mean())
 

@@ -259,7 +259,7 @@ def emit_table(table: Table | Iterable[Table], fmt: str = "csv",
     if fmt not in ("csv", "json"):
         raise ValueError(f"unknown format {fmt!r}; expected 'csv' or 'json'")
     tables = iter([table] if isinstance(table, Table) else table)
-    if fmt == "csv":  # the header once; map, unlike a loop, keeps no table past its blocks
+    if fmt == "csv":  # the header once; map, unlike a loop, frees each table before the next
         rest = map(lambda later: islice(_csv_blocks(later), 1, None), tables)
         blocks = chain(_csv_blocks(next(tables)), chain.from_iterable(rest))
     else:

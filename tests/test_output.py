@@ -321,18 +321,32 @@ class TestEmit:
         emit_table(SAMPLE, fmt="csv", path=path)
         assert path.read_text(encoding="utf-8") == render_csv(SAMPLE)
 
-    @pytest.mark.parametrize("parts", [1, 2, 3], ids=["table", "2 tables", "3 tables"])
     @pytest.mark.parametrize("to_file", [True, False], ids=["file", "stdout"])
     @pytest.mark.parametrize("fmt, render", [("csv", render_csv), ("json", render_json)])
-    def test_many_blocks_equal_the_rendered_text(self, fmt, render, to_file, parts, tmp_path,
-                                                 capsys):
-        # a table, or its rows cut at block boundaries into tables written in turn
+    def test_many_blocks_equal_the_rendered_text(self, fmt, render, to_file, tmp_path, capsys):
+        n = BLOCK_ROWS + 5
+        table = Table(("i", "x", "s"), (np.arange(n), np.arange(n) / 7, np.array(["a"] * n)))
+        path = tmp_path / "t.out" if to_file else None
+        emit_table(table, fmt=fmt, path=path)
+        out = capsys.readouterr().out
+        if to_file:
+            assert out == ""
+            out = path.read_text(encoding="utf-8")
+        assert out == render(table)
+
+    @pytest.mark.parametrize("parts", [2, 3])
+    @pytest.mark.parametrize("to_file", [True, False], ids=["file", "stdout"])
+    @pytest.mark.parametrize("fmt, render", [("csv", render_csv), ("json", render_json)])
+    def test_tables_in_turn_equal_their_rows_as_one(self, fmt, render, to_file, parts, tmp_path,
+                                                    capsys):
+        # a table's rows cut at block boundaries, as a sampler chunk's are, into tables
+        # written in turn: the header once, then every row
         n = 2 * BLOCK_ROWS + 5
         table = Table(("i", "x", "s"), (np.arange(n), np.arange(n) / 7, np.array(["a"] * n)))
         cuts = [0, *range(BLOCK_ROWS, n, BLOCK_ROWS)][:parts] + [n]
         path = tmp_path / "t.out" if to_file else None
-        emit_table(table if parts == 1 else (Table(table.columns, [c[a:b] for c in table.data])
-                                             for a, b in zip(cuts, cuts[1:])), fmt=fmt, path=path)
+        emit_table((Table(table.columns, [c[a:b] for c in table.data])
+                    for a, b in zip(cuts, cuts[1:])), fmt=fmt, path=path)
         out = capsys.readouterr().out
         if to_file:
             assert out == ""

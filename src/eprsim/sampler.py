@@ -7,8 +7,8 @@ who computes a chunk, never what it contains, so a given (spec, seed)
 produces an identical outcome stream for any worker count.  An event's
 code is the number of cumulative-probability edges, the last one left out,
 at or below its uniform draw u.  Statistics come from per-chunk outcome
-counts, one count_nonzero pass per edge, and the event listing is drawn a
-chunk at a time as it is written, so neither's memory grows with n.
+counts, one count_nonzero pass per edge, so their memory does not grow with
+n, nor at one worker does the event listing's: it is drawn a chunk at a time.
 """
 
 from __future__ import annotations

@@ -1123,6 +1123,23 @@ class TestReadme:
         monkeypatch.chdir(tmp_path)  # for the commands that write --out files
         assert main(argv) == 0, capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [argv for argv in README_COMMANDS if argv[0] != "audit"],
+                             ids=" ".join)
+    def test_tables_hold_floats_counts_and_full_width_ascii(self, argv):
+        # the cell kinds the CSV renderer's fast paths take: every other kind is formatted
+        # with str, so a command that printed one would render it one cell at a time
+        args = build_parser().parse_args(argv)
+        result = args.handler(args)
+        for table in [result] if isinstance(result, Table) else result:
+            for name, column in zip(table.columns, table.data):
+                if column.dtype.kind == "U":
+                    texts = column.tolist()
+                    assert {len(text) for text in texts} == {column.dtype.itemsize // 4}, name
+                    assert all(text.isascii() for text in texts), name
+                else:
+                    assert (column.dtype == np.float64
+                            or column.dtype.kind in "iu" and column.min() >= 0), name
+
     def test_config_examples_parse(self):
         blocks = [block for lang, block in _readme_blocks("### Config files") if lang != "sh"]
         assert len(blocks) >= 3

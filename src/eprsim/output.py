@@ -9,11 +9,12 @@ floats so round-tripping through text preserves the double exactly and
 repeated runs are byte-identical.  CSV is rendered in blocks of rows,
 each written out as one Python string.  A block is a 2-D byte matrix, a
 row per table row, with one fixed-width slot of UTF-8 bytes per varying
-cell, ``PAD`` past the end of its text; a column printing one text
-throughout the block is formatted once, into the fixed bytes between the
-slots.  PAD bytes are dropped only from a block with a padded slot.  Int
-and ASCII str cells take no Python object per cell, and a block's float
-cells format each distinct 64-bit pattern once.
+cell, ``PAD`` past the end of its text; a float, int or bool column
+printing one text throughout the block is formatted once, into the fixed
+bytes between the slots.  A block holding a PAD byte drops them all.
+Non-negative int cells and ASCII str cells that fill their width take no
+Python object per cell, and a block's floats format each distinct 64-bit
+pattern once; other int and str cells are formatted with ``str``.
 """
 
 from __future__ import annotations
@@ -143,67 +144,58 @@ def grid_audit(bench: str, tolerance: float, axes: tuple, diff,
     return NoSignalReport(bench, math.prod(map(len, axes)), worst, at(*worst_at), tolerance)
 
 
-def _text_slot(texts: list[str]) -> tuple[np.ndarray, bool]:
-    """Each text's UTF-8 bytes as one row, PAD past its end; and whether any row is padded."""
+def _text_slot(texts: list[str]) -> np.ndarray:
+    """Each text's UTF-8 bytes as one row, PAD past its end."""
     data = "".join(texts).encode()
     lengths = np.fromiter(map(len, texts if data.isascii() else map(str.encode, texts)), np.intp)
     text = np.arange(lengths.max()) < lengths[:, None]
     cells = np.full(text.shape, PAD, np.uint8)
     cells[text] = np.frombuffer(data, np.uint8)  # row by row, each text from its row's start
-    return cells, bool(lengths.min() < cells.shape[1])
+    return cells
 
 
-def _float_slots(columns: list[np.ndarray]) -> list[tuple[np.ndarray, bool]]:
+def _float_slots(columns: list[np.ndarray]) -> list[np.ndarray]:
     """Float columns' slots as float64, one format per distinct 64-bit pattern across
     them all (keying on the value would merge -0.0 with 0.0, split NaNs)."""
     bits = np.concatenate(columns, dtype=np.float64).view(np.uint64)
     unique, inverse = np.unique(bits, return_inverse=True)
-    texts, padded = _text_slot([FLOAT_FORMAT % v for v in unique.view(np.float64).tolist()])
+    texts = _text_slot([FLOAT_FORMAT % v for v in unique.view(np.float64).tolist()])
     rows = np.split(inverse, np.cumsum([len(column) for column in columns[:-1]]))
-    return [(np.take(texts, row, axis=0), padded) for row in rows]
+    return [np.take(texts, row, axis=0) for row in rows]
 
 
-def _int_slot(column: np.ndarray, lo: int, hi: int) -> tuple[np.ndarray, bool]:
-    """Right-aligned digits of ints in [lo, hi] within ±10**18; a '-' position if lo < 0."""
-    digits = len(str(max(-lo, hi)))
-    cells = np.empty((digits + (lo < 0), len(column)), np.uint8)  # one row per position
-    q = magnitude = np.abs(column.astype(np.int64)).astype(np.uint32 if digits < 10 else np.uint64)
+def _int_slot(column: np.ndarray, digits: int) -> np.ndarray:
+    """Right-aligned digits of ints in [0, 10**digits)."""
+    cells = np.empty((digits, len(column)), np.uint8)  # one row per position
+    q = column = column.astype(np.uint32 if digits < 10 else np.uint64)
     for k in range(1, digits + 1):
         q, cells[-k] = np.divmod(q, 10)
     cells += ord("0")
-    places = np.array([10 ** k for k in range(digits - 1, 0, -1)] + [0], magnitude.dtype)
-    cells[-digits:][magnitude < places[:, None]] = PAD  # leading zeros
-    cells[:-digits] = np.where(column < 0, ord("-"), PAD)  # no row unless lo < 0
-    return cells.T, lo < 0 <= hi or len(str(lo)) != len(str(hi))
+    places = np.array([10 ** k for k in range(digits - 1, 0, -1)] + [0], column.dtype)
+    cells[column < places[:, None]] = PAD  # leading zeros
+    return cells.T
 
 
-def _slot(column: np.ndarray) -> tuple[np.ndarray, bool]:
+def _slot(column: np.ndarray) -> np.ndarray:
     """A non-float column's slot: each cell's CSV text as a row of UTF-8 bytes, PAD past
-    its end; and whether any cell is padded."""
+    its end."""
     kind = column.dtype.kind
     if kind == "b":
-        return _text_slot(["false", "true"])[0][column.astype(np.intp)], True
-    if kind in "iu":
-        lo, hi = int(column.min()), int(column.max())
-        if -10**18 < lo and hi < 10**18:
-            return _int_slot(column, lo, hi)
+        return _text_slot(["false", "true"])[column.astype(np.intp)]
+    if kind in "iu" and column.min() >= 0:
+        return _int_slot(column, len(str(column.max())))
     if kind == "U":
         codes = np.ascontiguousarray(column).view(np.uint32).reshape(len(column), -1)
-        if codes.max() < 128:  # ASCII: a byte per code point
-            cells, padded = codes.astype(np.uint8), not codes[:, -1].all()
-            if padded:  # trailing NULs, which a numpy str drops; inner ones are text
-                cells[np.arange(cells.shape[1]) >= np.char.str_len(column)[:, None]] = PAD
-            return cells, padded
+        if codes.max() < 128 and codes[:, -1].all():  # full-width ASCII: a byte per code point
+            return codes.astype(np.uint8)
     return _text_slot(list(map(str, column.tolist())))
 
 
 def _constant(column: np.ndarray) -> bool:
-    """Whether every cell prints as the next: floats by 64-bit pattern, strs by code point
-    (5x faster than str ``==``), ints and bools by ``==``; object and complex cells never."""
+    """Whether every cell prints as the next: floats by 64-bit pattern, ints and bools by
+    ``==``; str, object and complex cells never."""
     if column.dtype.kind == "f":
         column = column.astype(np.float64, copy=False).view(np.uint64)
-    elif column.dtype.kind == "U":
-        column = np.ascontiguousarray(column).view(np.uint32).reshape(len(column), -1)
     return column.dtype.kind in "iub" and bool((column[1:] == column[:-1]).all())
 
 
@@ -217,18 +209,18 @@ def _csv_blocks(table: Table):
         floats = [column for column in shown if column.dtype.kind == "f"]
         floats = iter(_float_slots(floats) if floats else [])
         # a row: varying slots, fixed bytes of separators and constant cells between
-        parts, padded = [b""], False
+        parts = [b""]
         for column, vary, sep in zip(shown, varying, [b","] * (len(block) - 1) + [b"\n"]):
-            slot, pad = next(floats) if column.dtype.kind == "f" else _slot(column)
+            slot = next(floats) if column.dtype.kind == "f" else _slot(column)
             if vary:
                 parts += [slot, sep]
-                padded |= pad
             else:
                 parts[-1] += slot[slot != PAD].tobytes() + sep
         n = len(block[0])
         rows = np.concatenate([np.broadcast_to(np.frombuffer(part, np.uint8), (n, len(part)))
                                if isinstance(part, bytes) else part for part in parts], axis=1)
-        yield (rows[rows != PAD] if padded else rows).tobytes().decode()
+        text = rows != PAD
+        yield (rows if text.all() else rows[text]).tobytes().decode()
 
 
 def render_csv(table: Table) -> str:

@@ -142,7 +142,7 @@ class TestFold:
 
     def test_what_counts_as_constant(self):
         assert _constant(np.full(3, math.nan)) and _constant(np.full(3, -0.0))
-        assert _constant(np.full(3, "")) and _constant(np.full(3, 2**63, np.uint64))
+        assert not _constant(np.full(3, "")) and _constant(np.full(3, 2**63, np.uint64))
         assert not _constant(np.array([0.0, -0.0]))
         assert not _constant(nans(0, 1))  # both print as nan, but differ in bits
         assert not _constant(np.full(3, AliceMode.SPLITTER_IN, dtype=object))

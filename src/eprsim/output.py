@@ -219,8 +219,7 @@ def _csv_blocks(table: Table):
         n = len(block[0])
         rows = np.concatenate([np.broadcast_to(np.frombuffer(part, np.uint8), (n, len(part)))
                                if isinstance(part, bytes) else part for part in parts], axis=1)
-        text = rows != PAD
-        yield (rows if text.all() else rows[text]).tobytes().decode()
+        yield (rows[rows != PAD] if PAD in rows else rows).tobytes().decode()
 
 
 def render_csv(table: Table) -> str:

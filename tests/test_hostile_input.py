@@ -101,16 +101,19 @@ def _as_written(param: Param, text: str, tmp) -> str:
     return os.path.join(tmp, text) if param.kind == "text" else text
 
 
-def _settings(name: str, param: Param, geometry: bool, text: str, tmp) -> tuple[dict, dict]:
-    """The command's parameters and geometry: its base ones, with the drawn text put in."""
-    params = dict(BASE.get(name, {}))
-    geom = dict(SMALL_GEOMETRY) if COMMANDS[name].geometry else {}
-    (geom if geometry else params)[param.name] = _as_written(param, text, tmp)
+def _settings(name: str, param: Param, geometry: bool, value: str,
+              base=lambda text: text) -> tuple[dict, dict]:
+    """The command's parameters and geometry: its base texts through ``base``, and
+    ``value`` for the drawn one."""
+    params = {key: base(text) for key, text in BASE.get(name, {}).items()}
+    geom = ({key: base(text) for key, text in SMALL_GEOMETRY.items()}
+            if COMMANDS[name].geometry else {})
+    (geom if geometry else params)[param.name] = value
     return params, geom
 
 
 def _flags(name, param, geometry, text, tmp) -> list[str]:
-    params, geom = _settings(name, param, geometry, text, tmp)
+    params, geom = _settings(name, param, geometry, _as_written(param, text, tmp))
     argv = [name]
     for key, value in params.items():
         declared = next(p for p in COMMANDS[name].params if p.name == key)
@@ -127,27 +130,23 @@ def _flags(name, param, geometry, text, tmp) -> list[str]:
 
 
 def _key_value(name, param, geometry, text, tmp) -> str:
-    params, geom = _settings(name, param, geometry, text, tmp)
+    params, geom = _settings(name, param, geometry, _as_written(param, text, tmp))
     keys = {("parameters." if key == "bench" else "") + key: value
             for key, value in params.items()} | geom
     return f"bench={name}\n" + "".join(f"{key}={value}\n" for key, value in keys.items())
 
 
-def _json_value(text: str, raw: bool):
-    """``text`` as JSON: the value it spells when ``raw`` and it spells one that is no
-    string (a string would be a path outside the out directory), else a JSON string."""
-    try:
-        value = json.loads(text)
-    except ValueError:
-        return json.dumps(text)
-    return text if raw and not isinstance(value, str) else json.dumps(text)
-
-
 def _json(name, param, geometry, text, tmp, raw: bool) -> str:
-    params, geom = _settings(name, param, geometry, text, tmp)
+    """A JSON config holding ``text`` as the JSON value it spells when ``raw`` and that
+    value is no string, else as a JSON string of the text as written."""
+    try:
+        spelt = raw and not isinstance(json.loads(text), str)
+    except ValueError:
+        spelt = False
+    value = text if spelt else json.dumps(_as_written(param, text, tmp))
+    params, geom = _settings(name, param, geometry, value, json.dumps)
     sections = (f'"{section}": {{'
-                + ", ".join(f"{json.dumps(key)}: {_json_value(value, raw)}"
-                            for key, value in values.items()) + "}"
+                + ", ".join(f"{json.dumps(key)}: {value}" for key, value in values.items()) + "}"
                 for section, values in (("parameters", params), ("geometry", geom)))
     return f'{{"bench": {json.dumps(name)}, {", ".join(sections)}}}'
 
@@ -158,17 +157,23 @@ def tmp(tmp_path_factory):
 
 
 def assert_handled(argv: list[str]) -> None:
-    stdout, stderr = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
         code = main(argv)
     assert code in (0, 1, 2), argv
     if code == 1:
         assert any(line.startswith("error: ") for line in stderr.getvalue().splitlines()), argv
 
 
+def assert_config_handled(path: str, text: str) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    assert_handled(["run", "--config", path])
+
+
 EXAMPLES = settings(max_examples=150, deadline=None, derandomize=True)
-# JSON values that no parameter reads as a number: a bool, null, a list, an object, a float
-# past the largest double and an int past it
+# a JSON value of each kind but a string and a small number: a bool, null, a list, an
+# object, a float past the largest double and an int past it
 JSON_SPECIALS = ["true", "null", "[]", "{}", "1e400", "9" * 400]
 JSON_SPECIAL_IDS = ["true", "null", "list", "object", "1e400", "400-digit-int"]
 
@@ -182,24 +187,16 @@ class TestHostileInput:
     @EXAMPLES
     @given(hostile())
     def test_key_value_config(self, tmp, case):
-        path = os.path.join(tmp, "run.cfg")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(_key_value(*case, tmp))
-        assert_handled(["run", "--config", path])
+        assert_config_handled(os.path.join(tmp, "run.cfg"), _key_value(*case, tmp))
 
     @EXAMPLES
     @given(hostile(), st.booleans())
     def test_json_config(self, tmp, case, raw):
-        path = os.path.join(tmp, "run.json")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(_json(*case, tmp, raw))
-        assert_handled(["run", "--config", path])
+        assert_config_handled(os.path.join(tmp, "run.json"), _json(*case, tmp, raw))
 
     @pytest.mark.parametrize("special", JSON_SPECIALS, ids=JSON_SPECIAL_IDS)
     def test_json_special_as_every_declared_value(self, tmp, special):
-        path = os.path.join(tmp, "special.json")
         for name, param, geometry in DECLARED:
             if _within_cap(param, special):
-                with open(path, "w", encoding="utf-8") as fh:
-                    fh.write(_json(name, param, geometry, special, tmp, raw=True))
-                assert_handled(["run", "--config", path])
+                assert_config_handled(os.path.join(tmp, "special.json"),
+                                      _json(name, param, geometry, special, tmp, raw=True))

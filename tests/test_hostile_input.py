@@ -20,14 +20,15 @@ from hypothesis import strategies as st
 from eprsim.cli import COMMANDS, main
 from eprsim.config import Param, _geometry
 
+from test_config_cli import SMALL_GEOMETRY
+
 # the largest valid value drawn for each count: a larger one would run long or allocate much
 CAPS = {"n": 2000, "grid": 3, "workers": 3, "samples_aperture": 2049, "samples_detector": 8193}
 # above it a grid is rejected before any axis is built, so larger grids are safe to draw
 GRID_LIMIT = 2**53 + 1
-# what each command runs with besides the drawn value: audits on a small grid, and a small
-# wedge geometry, so that a command that propagates does so quickly
+# what each command runs with besides the drawn value: audits on a small grid, and
+# SMALL_GEOMETRY, so that a command that propagates does so quickly
 BASE = {"audit": {"grid": "2"}}
-SMALL_GEOMETRY = {"beam_sigma": "3e-4", "samples_aperture": "2049", "samples_detector": "8193"}
 
 # texts no kind takes, or takes only at an edge; written raw into a JSON config, the words
 # and numbers among them are a JSON true, null, list, object, overflowing float and so on
@@ -106,7 +107,7 @@ def _settings(name: str, param: Param, geometry: bool, value: str,
     """The command's parameters and geometry: its base texts through ``base``, and
     ``value`` for the drawn one."""
     params = {key: base(text) for key, text in BASE.get(name, {}).items()}
-    geom = ({key: base(text) for key, text in SMALL_GEOMETRY.items()}
+    geom = ({key: base(str(number)) for key, number in SMALL_GEOMETRY.items()}
             if COMMANDS[name].geometry else {})
     (geom if geometry else params)[param.name] = value
     return params, geom
@@ -171,7 +172,7 @@ def assert_config_handled(path: str, text: str) -> None:
     assert_handled(["run", "--config", path])
 
 
-EXAMPLES = settings(max_examples=150, deadline=None, derandomize=True)
+EXAMPLES = settings(max_examples=100, deadline=None, derandomize=True)
 # a JSON value of each kind but a string and a small number: a bool, null, a list, an
 # object, a float past the largest double and an int past it
 JSON_SPECIALS = ["true", "null", "[]", "{}", "1e400", "9" * 400]

@@ -1,4 +1,4 @@
-"""Run configuration: parameter declarations, parsing, and round-tripping.
+"""Run configuration: parameter declarations and parsing.
 
 A run is described either by CLI flags or by a config file in one of two
 equivalent forms: a JSON object, or line-oriented ``key=value`` text
@@ -58,19 +58,6 @@ def parse_angle(text: str | float, key: str = "angle") -> float:
             f"{key}: cannot parse angle {text!r}; use a decimal or a "
             f"pi fraction like 'pi/4' or '3*pi/8'"
         ) from None
-
-
-def format_angle(value: float) -> str:
-    """Render an angle, preferring exact small pi fractions."""
-    for den in (1, 2, 3, 4, 6, 8, 12, 16):
-        for num in range(0, 16 * den + 1):
-            if value == num * math.pi / den:
-                if num == 0:
-                    return "0"
-                prefix = "" if num == 1 else f"{num}*"
-                suffix = "" if den == 1 else f"/{den}"
-                return f"{prefix}pi{suffix}"
-    return "%.17g" % value
 
 
 @dataclass(frozen=True)
@@ -236,13 +223,23 @@ def _assemble(entries: list[tuple[str, object, str | None]]) -> RunConfig:
     return RunConfig(bench=bench, **fields)
 
 
+def _members(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object's members; a name given twice is an error, as a repeated key is."""
+    members: dict = {}
+    for key, value in pairs:
+        if key in members:
+            raise ConfigError(f"duplicate key {key!r}")
+        members[key] = value
+    return members
+
+
 def parse_config(text: str) -> RunConfig:
     """Parse config text in either the JSON or the key=value form."""
     stripped = text.lstrip()
     if stripped.startswith(("{", "[")):
         import json  # imported here: only a JSON config needs it
         try:
-            doc = json.loads(text)
+            doc = json.loads(text, object_pairs_hook=_members)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"bad JSON config: {exc}") from exc
         if not isinstance(doc, dict):
@@ -268,23 +265,3 @@ def parse_config(text: str) -> RunConfig:
             key, _, raw = token.partition("=")
             entries.append((key.strip(), raw.strip(), f"{lineno}: {token}"))
     return _assemble(entries)
-
-
-def serialize_config(cfg: RunConfig) -> str:
-    """Canonical key=value rendering; parse_config inverts it."""
-    lines = [f"bench={cfg.bench}"]
-    kinds = {p.name: p.kind for p in _command(cfg.bench).params}
-    for key in sorted(cfg.parameters):
-        value, kind = cfg.parameters[key], kinds[key]
-        if kind == "angles":
-            value = ",".join(format_angle(v) for v in value)
-        elif kind == "angle":
-            value = format_angle(value)
-        elif kind == "flag":
-            value = "true" if value else "false"
-        # the inner bench of sample/audit needs its prefix to differ from the command
-        lines.append(f"{'parameters.' if key == 'bench' else ''}{key}={value}")
-    for key in sorted(cfg.geometry):
-        lines.append(f"{key}={cfg.geometry[key]:.17g}" if isinstance(cfg.geometry[key], float)
-                     else f"{key}={cfg.geometry[key]}")
-    return "\n".join(lines) + "\n"

@@ -226,11 +226,24 @@ def render_csv(table: Table) -> str:
     return "".join(_csv_blocks(table))
 
 
+def _json_blocks(table: Table, more: Iterable[Table] = ()):
+    """``render_json``'s document in pieces: its head, the rows of each block of
+    ``BLOCK_ROWS`` of ``table`` and then of each of ``more``, and its tail."""
+    import json  # imported here, so that a CSV command does not load it at start
+    yield json.dumps({"columns": list(table.columns), "rows": []}, indent=2)[:-4]  # no "[]\n}"
+    sep = "["
+    for t in chain([table], more):
+        for start in range(0, len(t), BLOCK_ROWS):
+            rows = zip(*(_json_values(column[start:start + BLOCK_ROWS]) for column in t.data))
+            # the list's items without its brackets, one level deeper
+            yield sep + json.dumps(list(rows), indent=2)[1:-2].replace("\n", "\n  ")
+            sep = ","
+    yield "[]\n}\n" if sep == "[" else "\n  ]\n}\n"
+
+
 def render_json(table: Table, more: Iterable[Table] = ()) -> str:
     """One document of ``table``'s columns, then its rows and those of each of ``more``."""
-    import json  # imported here, so that a CSV command does not load it at start
-    rows = list(chain.from_iterable(zip(*map(_json_values, t.data)) for t in chain([table], more)))
-    return json.dumps({"columns": list(table.columns), "rows": rows}, indent=2) + "\n"
+    return "".join(_json_blocks(table, more))
 
 
 def _json_values(column: np.ndarray) -> list:
@@ -244,9 +257,9 @@ def _json_values(column: np.ndarray) -> list:
 def emit_table(table: Table | Iterable[Table], fmt: str = "csv",
                path: str | Path | None = None) -> None:
     """Write a table, or an iterable of same-column tables as one, to ``path``, or to stdout
-    when it is None.  CSV goes one block at a time and takes each table once the one before
-    is written, so an event listing holds one sampler chunk; JSON joins the rows into one
-    document.  The first table is made before the file opens: a failure there writes nothing."""
+    when it is None.  Either format goes one block at a time and takes each table once the
+    one before is written, so an event listing's memory does not grow with its length.  The
+    first table is made before the file opens: a failure there writes nothing."""
     if fmt not in ("csv", "json"):
         raise ValueError(f"unknown format {fmt!r}; expected 'csv' or 'json'")
     tables = iter([table] if isinstance(table, Table) else table)
@@ -254,7 +267,7 @@ def emit_table(table: Table | Iterable[Table], fmt: str = "csv",
         rest = map(lambda later: islice(_csv_blocks(later), 1, None), tables)
         blocks = chain(_csv_blocks(next(tables)), chain.from_iterable(rest))
     else:
-        blocks = [render_json(next(tables), tables)]
+        blocks = _json_blocks(next(tables), tables)
     if path is None:
         sys.stdout.writelines(blocks)
     else:

@@ -20,11 +20,9 @@ from eprsim.cli import COMMANDS, build_parser, main, run_no_signal_audit
 from eprsim.config import (
     ConfigError,
     RunConfig,
-    format_angle,
     make_geometry,
     parse_angle,
     parse_config,
-    serialize_config,
 )
 from eprsim.output import NoSignalReport, Table, grid_audit, grid_axes, render_csv
 from eprsim.pathbench import audit_mz
@@ -40,6 +38,15 @@ GEOM_FLAGS = [
     "--geom", "samples_detector=8193",
 ]
 SMALL_GEOMETRY = {"beam_sigma": 3e-4, "samples_aperture": 2049, "samples_detector": 8193}
+
+
+def assert_round_trips_through_json(cfg: RunConfig) -> RunConfig:
+    """``cfg`` written as a JSON config parses back to itself; returns the parsed copy."""
+    text = json.dumps({"bench": cfg.bench, "parameters": cfg.parameters,
+                       "geometry": cfg.geometry})
+    parsed = parse_config(text)
+    assert parsed == cfg, text
+    return parsed
 
 
 class TestParseAngle:
@@ -70,25 +77,6 @@ class TestParseAngle:
     def test_zero_divisor_rejected(self):
         with pytest.raises(ConfigError, match="zero"):
             parse_angle("pi/0", "alpha")
-
-
-class TestFormatAngle:
-    @pytest.mark.parametrize(
-        "value, text",
-        [
-            (0.0, "0"),
-            (math.pi, "pi"),
-            (math.pi / 4, "pi/4"),
-            (3 * math.pi / 8, "3*pi/8"),
-            (2 * math.pi, "2*pi"),
-        ],
-    )
-    def test_exact_fractions(self, value, text):
-        assert format_angle(value) == text
-
-    def test_round_trips_through_parse(self):
-        for value in (0.3, math.pi / 12, 5 * math.pi / 16, -0.125):
-            assert parse_angle(format_angle(value)) == value
 
 
 class TestParseConfig:
@@ -171,7 +159,7 @@ class TestParseConfig:
         assert cfg.parameters["angles"] == (0.0, math.pi / 8, math.pi / 4, 3 * math.pi / 8)
         assert cfg.parameters["n"] == 1000
 
-    def test_round_trips_through_serialize(self):
+    def test_round_trips_through_json(self):
         texts = [
             "bench=polar alpha=pi/4 theta=0.3",
             "bench=chsh angles=0,pi/8,pi/4,3*pi/8 n=500 seed=2",
@@ -180,10 +168,13 @@ class TestParseConfig:
             "bench=mz marginals=false grid=3 mode=stop",
             "bench=sample parameters.bench=mz summary=true workers=2 n=10",
             "bench=audit parameters.bench=wedge grid=2 tolerance=1e-6 beam_sigma=3e-4",
+            "bench=wedge aperture_halfwidth=inf",
         ]
         for text in texts:
-            cfg = parse_config(text)
-            assert parse_config(serialize_config(cfg)) == cfg
+            assert_round_trips_through_json(parse_config(text))
+        # -0.0 == 0.0, so the sign is asked for on its own
+        cfg = assert_round_trips_through_json(parse_config("bench=polar alpha=-0.0"))
+        assert math.copysign(1.0, cfg.parameters["alpha"]) == -1.0
 
 
 class TestRunConfig:
@@ -210,7 +201,6 @@ class TestRunConfig:
     def test_parameter_values_are_stored_coerced(self):
         cfg = RunConfig(bench="polar", parameters={"alpha": "pi/4", "grid": "3"})
         assert cfg.parameters == {"alpha": math.pi / 4, "grid": 3}
-        assert "alpha=pi/4\n" in serialize_config(cfg)
         with pytest.raises(ConfigError, match="grid: must be >= 0"):
             RunConfig(bench="polar", parameters={"grid": -3})
 
@@ -471,6 +461,22 @@ class TestConfigKeys:
             parse_config("bench=polar alpha=0 parameters.alpha=1")
         with pytest.raises(ConfigError, match="duplicate key 'geometry.beam_sigma'"):
             parse_config("bench=wedge beam_sigma=3e-4 geometry.beam_sigma=3e-4")
+
+    @pytest.mark.parametrize("text, key", [
+        ('{"bench": "polar", "alpha": 0, "alpha": 1}', "alpha"),
+        ('{"bench": "chsh", "parameters": {"n": 1000, "n": 5}}', "n"),
+        ('{"bench": "wedge", "geometry": {"beam_sigma": 3e-4, "beam_sigma": 1e-3}}',
+         "beam_sigma"),
+        ('{"bench": "polar", "bench": "mz"}', "bench"),
+    ], ids=["top level", "parameters", "geometry", "bench"])
+    def test_repeated_json_member_is_a_duplicate(self, text, key, tmp_path, capsys):
+        # json.loads alone keeps the last of a repeated name, so the run would go on with it
+        config = tmp_path / "run.json"
+        config.write_text(text, encoding="utf-8")
+        assert main(["run", "--config", str(config)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: duplicate key {key!r}")
 
     @pytest.mark.parametrize("text, key", [
         ("bench=mz grid=-2", "grid"),
@@ -1144,8 +1150,7 @@ class TestReadme:
         blocks = [block for lang, block in _readme_blocks("### Config files") if lang != "sh"]
         assert len(blocks) >= 3
         for block in blocks:
-            cfg = parse_config(block)
-            assert parse_config(serialize_config(cfg)) == cfg
+            assert_round_trips_through_json(parse_config(block))
 
 
 class TestStartup:

@@ -4,11 +4,15 @@ Every value the command line reads is declared once: a ``Param`` of ``cli.COMMAN
 wedge geometry field of ``config._geometry()``.  Each ``Param.kind`` has one strategy of
 hostile texts, and each text goes through ``cli.main`` as a flag, as a ``key=value``
 config and as a JSON config.  Whatever the value, ``main`` returns 0, 1 or 2, lets no
-exception escape, and writes an ``error:`` line when it returns 1.
+exception escape, and writes an ``error:`` line when it returns 1.  Hostile keys come from
+the same declarations: another command's key, a key in the wrong section or spelling, or one
+key given twice.  A config holding one exits 1 with one ``error:`` line and no table.
 """
 
 import contextlib
+import dataclasses
 import io
+import itertools
 import json
 import math
 import os
@@ -18,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eprsim.cli import COMMANDS, main
-from eprsim.config import Param, _geometry
+from eprsim.config import Param, _geometry, make_geometry
 
 from test_config_cli import SMALL_GEOMETRY
 
@@ -201,3 +205,128 @@ class TestHostileInput:
             if _within_cap(param, special):
                 assert_config_handled(os.path.join(tmp, "special.json"),
                                       _json(name, param, geometry, special, tmp, raw=True))
+
+
+# every geometry field as a text the base run takes: SMALL_GEOMETRY's, else the default
+GEOMETRY_TEXTS = {key: repr(value)
+                  for key, value in dataclasses.asdict(make_geometry(SMALL_GEOMETRY)).items()}
+
+
+def _text(param: Param) -> str:
+    """A text ``param`` takes, which its command's base run takes too."""
+    if param.kind == "text":
+        return os.devnull  # were the key taken, the table would go nowhere
+    if param.default is not None:
+        return str(param.default)
+    return "2" if param.kind == "int" else "0.5"
+
+
+def _declared(name: str) -> list[tuple[str, str, str]]:
+    """Each key command ``name`` declares as (section, key, a text it takes)."""
+    command = COMMANDS[name]
+    return ([("parameters", param.name, _text(param)) for param in command.params]
+            + [("geometry", key, text) for key, text in GEOMETRY_TEXTS.items()
+               if command.geometry])
+
+
+def _spellings(section: str, key: str) -> list[tuple[str, str]]:
+    """Each (section, key) that names ``key`` of ``section``: bare (but for the inner bench,
+    as the bare key is the command's own), prefixed, and a member of the section's object."""
+    return [("", key)] * (key != "bench") + [("", f"{section}.{key}"), (section, key)]
+
+
+def _hostile_keys(name: str) -> dict[str, list[list[tuple[str, str, str]]]]:
+    """For each kind of hostile key, configs of command ``name`` that hold one: each a list
+    of (section, key, text) members added to its base config.  A section of "" is the top
+    level; a key=value config writes a member of "parameters" or "geometry" prefixed."""
+    command = COMMANDS[name]
+    declared = _declared(name)
+    own = {key for _, key, _ in declared}
+    base = set(BASE.get(name, {})) | (set(SMALL_GEOMETRY) if command.geometry else set())
+    others = {param.name: _text(param) for other in COMMANDS.values()
+              for param in other.params if param.name not in own}
+    swapped = {"parameters": "geometry", "geometry": "parameters"}
+    prefixed = [(section, key) for section in ("", "parameters", "geometry")
+                for key in ("", "parameters", "geometry", "parameters.", "geometry.")]
+    return {
+        "another command's parameter": [
+            [(*spelt, text)] for key, text in others.items()
+            for spelt in _spellings("parameters", key)],
+        "geometry on a command without it": [
+            [(*spelt, text)] for key, text in GEOMETRY_TEXTS.items() if not command.geometry
+            for spelt in _spellings("geometry", key)],
+        "swapped, doubled or empty prefix": [
+            [member] for section, key, text in declared for member in [
+                (swapped[section], key, text), ("", f"{swapped[section]}.{key}", text),
+                (section, f"{section}.{key}", text), ("", f"{section}.{section}.{key}", text)]
+        ] + [[(section, key, "1")] for section, key in prefixed],
+        "case or whitespace": [
+            [(spelt_section, variant, text)]
+            for section, key, text in [("", "bench", name), *declared]
+            for spelt_section, spelt in (_spellings(section, key) if section else [("", key)])
+            for variant in (spelt.upper(), spelt.capitalize(), spelt + " ", spelt + "\t",
+                            spelt[:1] + " " + spelt[1:])],
+        "one key through two spellings": [
+            [(*first, text), (*second, text)] for section, key, text in declared
+            if key not in base
+            for first, second in itertools.combinations(_spellings(section, key), 2)],
+        "a repeated member": [
+            [(*spelt, text)] * 2 for section, key, text in declared
+            for spelt in _spellings(section, key)] + [[("", "bench", name)]],
+    }
+
+
+def _config(name: str, hostile: list[tuple[str, str, str]], form: str) -> str:
+    """Command ``name``'s base config with the ``hostile`` members after its own, as a
+    key=value or a JSON config; a JSON object keeps a member given twice."""
+    members = [("", "bench", name), *(("parameters", key, text)
+                                      for key, text in BASE.get(name, {}).items())]
+    if COMMANDS[name].geometry:
+        members += [("geometry", key, str(value)) for key, value in SMALL_GEOMETRY.items()]
+    members += hostile
+    if form == "key=value":
+        return "".join(f"{section}{'.' * bool(section)}{key}={text}\n"
+                       for section, key, text in members)
+
+    def obj(section: str) -> str:
+        return "{" + ", ".join(f"{json.dumps(key)}: {json.dumps(text)}"
+                               for spelt, key, text in members if spelt == section) + "}"
+
+    return obj("")[:-1] + "".join(f', "{section}": {obj(section)}'
+                                  for section in ("parameters", "geometry")) + "}"
+
+
+#: (command, kind of hostile key, members) for every hostile key
+HOSTILE_KEYS = [(name, kind, hostile) for name in COMMANDS
+                for kind, cases in _hostile_keys(name).items() for hostile in cases]
+
+
+def assert_rejected(path: str, text: str) -> None:
+    """``run --config`` of ``text`` exits 1 with one ``error:`` line and no table."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(["run", "--config", path])
+    assert (code, stdout.getvalue()) == (1, ""), text
+    lines = stderr.getvalue().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), (text, lines)
+
+
+class TestHostileKeys:
+    """Keys no command declares, or declares in another place or spelling, generated from
+    the declarations: each config is rejected whole, in either form."""
+
+    @EXAMPLES
+    @given(st.sampled_from(sorted({kind for _, kind, _ in HOSTILE_KEYS})).flatmap(
+        lambda kind: st.sampled_from([case for case in HOSTILE_KEYS if case[1] == kind])),
+        st.sampled_from(["key=value", "json"]))
+    def test_config(self, tmp, case, form):
+        name, _, hostile = case
+        assert_rejected(os.path.join(tmp, "keys.cfg"), _config(name, hostile, form))
+
+    @pytest.mark.parametrize("name", sorted(COMMANDS))
+    def test_every_repeated_json_member(self, tmp, name):
+        # json.loads alone keeps the last of a repeated name and drops the others unseen
+        for hostile in _hostile_keys(name)["a repeated member"]:
+            assert_rejected(os.path.join(tmp, "repeated.json"), _config(name, hostile, "json"))

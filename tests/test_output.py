@@ -374,6 +374,11 @@ class TestEmit:
         emit_table(tables())
         # the header once, then each table's one block, written before the next is taken
         assert written == [(1, 1), (1, BLOCK_ROWS), (2, BLOCK_ROWS), (3, BLOCK_ROWS)]
+        # JSON likewise: the head, each table's one block, the tail
+        written.clear()
+        taken.clear()
+        emit_table(tables(), fmt="json")
+        assert [n for n, _ in written] == [1, 1, 2, 3, 3]
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_first_table_is_made_before_the_file_opens(self, fmt, tmp_path):

@@ -263,13 +263,13 @@ class TestListingMemory:
              "_, status, usage = os.wait4(pid, 0)\n"
              "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)\n")
 
-    def peak_mb(self, n: int, workers: int, tmp_path: Path) -> float:
+    def peak_mb(self, n: int, workers: int, tmp_path: Path, fmt: str = "csv") -> float:
         """Peak resident memory of ``python -m eprsim sample`` writing n events to a file."""
         path = os.pathsep.join(filter(None, [str(Path(eprsim.__file__).parents[1]),
                                              os.environ.get("PYTHONPATH")]))
         done = subprocess.run(
             [sys.executable, "-c", self.SPAWN, "-m", "eprsim", "sample", "--n", str(n),
-             "--workers", str(workers), "--out", str(tmp_path / "events.csv")],
+             "--workers", str(workers), "--format", fmt, "--out", str(tmp_path / "events")],
             capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, timeout=120)
         status, peak_kib = map(int, done.stdout.split())
         assert (done.returncode, status) == (0, 0), done.stderr
@@ -280,6 +280,13 @@ class TestListingMemory:
         one_chunk = self.peak_mb(CHUNK_EVENTS, workers, tmp_path)
         many = self.peak_mb(2_000_000, workers, tmp_path)
         assert many - one_chunk < self.BOUND_MB, (one_chunk, many)
+
+    def test_json_peak_does_not_grow_with_n(self, tmp_path):
+        # fixed before the first run.  A JSON document rendered whole holds its rows as
+        # Python objects and its text, about 760 bytes an event: 150 MB more at four chunks
+        one_chunk = self.peak_mb(CHUNK_EVENTS, 1, tmp_path, "json")
+        four = self.peak_mb(4 * CHUNK_EVENTS, 1, tmp_path, "json")
+        assert four - one_chunk < self.BOUND_MB, (one_chunk, four)
 
 
 class TestChshEstimate:
